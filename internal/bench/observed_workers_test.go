@@ -28,12 +28,25 @@ type observedArtifacts struct {
 }
 
 // runObserved executes the canonical partitioned configuration with all
-// three observers attached at the given worker count and renders every
+// four observers attached at the given worker count and renders every
 // export.
 func runObserved(t *testing.T, system SystemKind, workers int) observedArtifacts {
 	t.Helper()
+	return runObservedCfg(t, observedCfg(system, workers))
+}
+
+// observedCfg is the canonical partitioned configuration: three shard
+// groups under modulo placement.
+func observedCfg(system SystemKind, workers int) Config {
 	cfg := shardedCfg(system, 3, "modulo")
 	cfg.Workers = workers
+	return cfg
+}
+
+// runObservedCfg runs cfg with all four observers attached and renders
+// every export.
+func runObservedCfg(t *testing.T, cfg Config) observedArtifacts {
+	t.Helper()
 	rec := trace.NewRecorder(0)
 	reg := metrics.NewRegistry(metrics.Options{Window: 100 * sim.Microsecond})
 	why := causality.NewRecorder(causality.Options{})
@@ -71,7 +84,7 @@ func runObserved(t *testing.T, system SystemKind, workers int) observedArtifacts
 }
 
 // The parallel-observability contract: a fully observed partitioned run
-// (trace + metrics + why) is byte-identical at every worker count. The
+// (trace + metrics + why + flight) is byte-identical at every worker count. The
 // recorders shard per partition and merge deterministically, so neither
 // the schedule nor any rendered export may depend on the thread count.
 func TestObservedPartitionedByteIdenticalAcrossWorkers(t *testing.T) {
