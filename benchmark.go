@@ -6,11 +6,7 @@ import (
 	"time"
 
 	"crest/internal/bench"
-	"crest/internal/causality"
-	"crest/internal/flight"
-	"crest/internal/metrics"
 	"crest/internal/sim"
-	"crest/internal/trace"
 	"crest/internal/workload"
 	"crest/internal/workload/smallbank"
 	"crest/internal/workload/tpcc"
@@ -108,7 +104,7 @@ type BenchmarkConfig struct {
 	// shard-group partitions concurrently (sharded topologies with a
 	// partition-safe workload; other runs ignore it). It is an
 	// invocation-level performance knob: every worker count produces
-	// byte-identical results — including trace, metrics and why
+	// byte-identical results — including trace, metrics, why and flight
 	// snapshots, which record into per-partition shards and merge
 	// deterministically — so only the wall-clock measurements (WallMS,
 	// EventsPerSec, the nondeterministic RuntimeStats fields) change.
@@ -209,55 +205,22 @@ func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
 		Warmup:       sim.Duration(cfg.Warmup),
 		Workers:      cfg.Workers,
 	}
-	var rec *trace.Recorder
-	if cfg.Trace {
-		rec = trace.NewRecorder(cfg.TraceCapacity)
-		bc.Trace = rec
-	}
-	var reg *metrics.Registry
-	if cfg.Metrics {
-		window := metrics.DefaultWindow
-		if cfg.MetricsWindow > 0 {
-			window = sim.Duration(cfg.MetricsWindow)
-		}
-		reg = metrics.NewRegistry(metrics.Options{Window: window})
-		bc.Metrics = reg
-	}
-	var why *causality.Recorder
-	if cfg.Why {
-		why = causality.NewRecorder(causality.Options{Capacity: cfg.WhyCapacity})
-		bc.Why = why
-	}
-	var fl *flight.Recorder
-	if cfg.Flight {
-		fl = flight.NewRecorder(flight.Options{TxnCapacity: cfg.FlightCapacity})
-		bc.Flight = fl
-	}
+	obs := Config{
+		Trace:          cfg.Trace,
+		TraceCapacity:  cfg.TraceCapacity,
+		Metrics:        cfg.Metrics,
+		MetricsWindow:  cfg.MetricsWindow,
+		Why:            cfg.Why,
+		WhyCapacity:    cfg.WhyCapacity,
+		Flight:         cfg.Flight,
+		FlightCapacity: cfg.FlightCapacity,
+	}.observers()
+	bc.Trace, bc.Metrics, bc.Why, bc.Flight = obs.Trace, obs.Metrics, obs.Why, obs.Flight
 	res, err := bench.Run(bc)
 	if err != nil {
 		return BenchmarkResult{}, err
 	}
-	var snap *TraceSnapshot
-	if rec != nil {
-		snap = rec.Snapshot()
-	}
-	var msnap *MetricsSnapshot
-	if reg != nil {
-		msnap = reg.Snapshot()
-	}
-	var wsnap *WhySnapshot
-	if why != nil {
-		wsnap = why.Snapshot()
-	}
-	var fsnap *FlightSnapshot
-	if fl != nil {
-		fsnap = fl.Snapshot()
-	}
-	return BenchmarkResult{
-		Trace:          snap,
-		Metrics:        msnap,
-		Why:            wsnap,
-		Flight:         fsnap,
+	out := BenchmarkResult{
 		System:         System(res.System),
 		Workload:       name,
 		Coordinators:   res.Coordinators,
@@ -278,7 +241,20 @@ func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
 		EventsPerSec:   eventsPerSec(res.Events, res.WallMS),
 		ScenarioPhases: res.ScenarioPhases,
 		Runtime:        newRuntimeStats(res.Runtime, res.WallMS, res.Events),
-	}, nil
+	}
+	if obs.Trace != nil {
+		out.Trace = obs.Trace.Snapshot()
+	}
+	if obs.Metrics != nil {
+		out.Metrics = obs.Metrics.Snapshot()
+	}
+	if obs.Why != nil {
+		out.Why = obs.Why.Snapshot()
+	}
+	if obs.Flight != nil {
+		out.Flight = obs.Flight.Snapshot()
+	}
+	return out, nil
 }
 
 func eventsPerSec(events uint64, wallMS float64) float64 {

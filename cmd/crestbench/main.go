@@ -198,15 +198,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			err := writeFile(*memProf, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
 			if err != nil {
 				fmt.Fprintf(stderr, "crestbench: %v\n", err)
-				return
 			}
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(stderr, "crestbench: writing heap profile: %v\n", err)
-			}
-			f.Close()
 		}()
 	}
 
@@ -251,14 +246,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return fatalf("%v", err)
-			}
-			if err := crest.WriteBenchJSON(f, m); err != nil {
-				return fatalf("writing %s: %v", *jsonOut, err)
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(*jsonOut, func(w io.Writer) error { return crest.WriteBenchJSON(w, m) }); err != nil {
 				return fatalf("%v", err)
 			}
 			fmt.Fprintf(stderr, "[json: %d run records -> %s]\n", len(m.Records), *jsonOut)
@@ -337,14 +325,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatalf("%v", err)
 		}
 		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return fatalf("%v", err)
-			}
-			if err := crest.WriteChromeTrace(f, res.Trace); err != nil {
-				return fatalf("writing trace: %v", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(*traceOut, func(w io.Writer) error { return crest.WriteChromeTrace(w, res.Trace) }); err != nil {
 				return fatalf("%v", err)
 			}
 			fmt.Fprintf(stderr, "[trace: %d events -> %s]\n", len(res.Trace.Events), *traceOut)
@@ -386,14 +367,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if res.Runtime == nil {
 				return fatalf("-runtime-stats: run was not partitioned (needs -shards > 1 with a partition-safe workload)")
 			}
-			f, err := os.Create(*rtStats)
-			if err != nil {
-				return fatalf("%v", err)
-			}
-			if err := crest.WriteRuntimeStats(f, res.Runtime); err != nil {
-				return fatalf("writing runtime stats: %v", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(*rtStats, func(w io.Writer) error { return crest.WriteRuntimeStats(w, res.Runtime) }); err != nil {
 				return fatalf("%v", err)
 			}
 			fmt.Fprintf(stderr, "[runtime: %d windows, %d partitions, %d workers -> %s]\n",
@@ -435,60 +409,53 @@ func flagSet(fs *flag.FlagSet, name string) bool {
 // selects: .csv (windowed time-series), .json (schema-versioned
 // document), anything else Prometheus text exposition format.
 func writeMetrics(path string, s *crest.MetricsSnapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch {
-	case strings.HasSuffix(path, ".csv"):
-		err = crest.WriteMetricsCSV(f, s)
-	case strings.HasSuffix(path, ".json"):
-		err = crest.WriteMetricsJSON(f, s)
-	default:
-		err = crest.WriteMetricsPrometheus(f, s)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error {
+		switch {
+		case strings.HasSuffix(path, ".csv"):
+			return crest.WriteMetricsCSV(w, s)
+		case strings.HasSuffix(path, ".json"):
+			return crest.WriteMetricsJSON(w, s)
+		}
+		return crest.WriteMetricsPrometheus(w, s)
+	})
 }
 
 // writeFlight writes the flight snapshot to path: .json selects the
 // schema-versioned crest-flight document, anything else the rendered
 // aggregate tail report.
 func writeFlight(path string, s *crest.FlightSnapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = crest.WriteFlightJSON(f, s)
-	} else {
-		err = crest.WriteFlightTail(f, s, 5)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".json") {
+			return crest.WriteFlightJSON(w, s)
+		}
+		return crest.WriteFlightTail(w, s, 5)
+	})
 }
 
 // writeWhy writes the causality snapshot to path: .json selects the
 // schema-versioned crest-why document, anything else Graphviz DOT.
 func writeWhy(path string, s *crest.WhySnapshot) error {
+	return writeFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".json") {
+			return crest.WriteWhyJSON(w, s)
+		}
+		return crest.WriteWhyDOT(w, s)
+	})
+}
+
+// writeFile creates path and fills it with write. The file is closed on
+// every path; a failed write or Close is returned naming the file.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".json") {
-		err = crest.WriteWhyJSON(f, s)
-	} else {
-		err = crest.WriteWhyDOT(f, s)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
-		f.Close()
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
-	return f.Close()
+	return nil
 }

@@ -168,66 +168,56 @@ func (bf *benchFlags) config() crest.BenchmarkConfig {
 // file when in is set, otherwise by running the configured benchmark
 // with recording on.
 func whySnapshotFrom(in string, bf *benchFlags, capacity int, stderr io.Writer) (*crest.WhySnapshot, int) {
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-			usage(stderr)
-			return nil, 1
-		}
-		defer f.Close()
-		snap, err := crest.ReadWhyJSON(f)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: reading %s: %v\n", in, err)
-			usage(stderr)
-			return nil, 1
-		}
-		return snap, 0
-	}
 	cfg := bf.config()
 	cfg.Why = true
 	cfg.WhyCapacity = capacity
-	res, err := crest.RunBenchmark(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-		return nil, 1
-	}
-	fmt.Fprintf(stderr, "[%s/%s: %d txns, %d edges recorded, %.1f KOPS]\n",
-		res.System, res.Workload, len(res.Why.Txns), len(res.Why.Edges), res.ThroughputKOPS)
-	return res.Why, 0
+	return snapshotFrom(in, crest.ReadWhyJSON, cfg, stderr, func(res crest.BenchmarkResult) *crest.WhySnapshot {
+		fmt.Fprintf(stderr, "[%s/%s: %d txns, %d edges recorded, %.1f KOPS]\n",
+			res.System, res.Workload, len(res.Why.Txns), len(res.Why.Edges), res.ThroughputKOPS)
+		return res.Why
+	})
 }
 
 // flightSnapshotFrom loads the flight snapshot: from a crest-flight
 // JSON file when in is set, otherwise by running the configured
 // benchmark with the flight recorder on.
 func flightSnapshotFrom(in string, bf *benchFlags, capacity int, stderr io.Writer) (*crest.FlightSnapshot, int) {
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-			usage(stderr)
-			return nil, 1
-		}
-		defer f.Close()
-		snap, err := crest.ReadFlightJSON(f)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: reading %s: %v\n", in, err)
-			usage(stderr)
-			return nil, 1
-		}
-		return snap, 0
-	}
 	cfg := bf.config()
 	cfg.Flight = true
 	cfg.FlightCapacity = capacity
-	res, err := crest.RunBenchmark(cfg)
+	return snapshotFrom(in, crest.ReadFlightJSON, cfg, stderr, func(res crest.BenchmarkResult) *crest.FlightSnapshot {
+		fmt.Fprintf(stderr, "[%s/%s: %d txns, %d exemplars recorded, %.1f KOPS]\n",
+			res.System, res.Workload, len(res.Flight.Txns), len(res.Flight.Exemplars), res.ThroughputKOPS)
+		return res.Flight
+	})
+}
+
+// snapshotFrom loads an observer snapshot: parsed by read from the JSON
+// export in when set, otherwise taken from a benchmark run of cfg.
+func snapshotFrom[S any](in string, read func(io.Reader) (*S, error), cfg crest.BenchmarkConfig,
+	stderr io.Writer, take func(crest.BenchmarkResult) *S) (*S, int) {
+	if in == "" {
+		res, err := crest.RunBenchmark(cfg)
+		if err != nil {
+			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
+			return nil, 1
+		}
+		return take(res), 0
+	}
+	f, err := os.Open(in)
 	if err != nil {
 		fmt.Fprintf(stderr, "cresttrace: %v\n", err)
+		usage(stderr)
 		return nil, 1
 	}
-	fmt.Fprintf(stderr, "[%s/%s: %d txns, %d exemplars recorded, %.1f KOPS]\n",
-		res.System, res.Workload, len(res.Flight.Txns), len(res.Flight.Exemplars), res.ThroughputKOPS)
-	return res.Flight, 0
+	defer f.Close()
+	snap, err := read(f)
+	if err != nil {
+		fmt.Fprintf(stderr, "cresttrace: reading %s: %v\n", in, err)
+		usage(stderr)
+		return nil, 1
+	}
+	return snap, 0
 }
 
 // runTail prints the aggregate latency budget report: the p50/p99/
@@ -369,26 +359,12 @@ func runGraph(args []string, stdout, stderr io.Writer) int {
 	if code != 0 {
 		return code
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace graph: %v\n", err)
-			return 1
+	err := render(*out, stdout, func(w io.Writer) error {
+		if *format == "json" {
+			return crest.WriteWhyJSON(w, snap)
 		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
-	var err error
-	if *format == "json" {
-		err = crest.WriteWhyJSON(bw, snap)
-	} else {
-		err = crest.WriteWhyDOT(bw, snap)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
+		return crest.WriteWhyDOT(w, snap)
+	})
 	if err != nil {
 		fmt.Fprintf(stderr, "cresttrace graph: %v\n", err)
 		return 1
@@ -449,21 +425,7 @@ func runWindows(args []string, stdout, stderr io.Writer) int {
 			res.System, res.Workload, res.Events, res.ThroughputKOPS)
 	}
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
-	err := crest.WriteWindowTimeline(bw, stats)
-	if err == nil {
-		err = bw.Flush()
-	}
+	err := render(*out, stdout, func(w io.Writer) error { return crest.WriteWindowTimeline(w, stats) })
 	if err != nil {
 		fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
 		return 1
@@ -522,22 +484,15 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *metOut != "" {
-		f, err := os.Create(*metOut)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-			return 1
-		}
-		switch {
-		case strings.HasSuffix(*metOut, ".csv"):
-			err = crest.WriteMetricsCSV(f, res.Metrics)
-		case strings.HasSuffix(*metOut, ".json"):
-			err = crest.WriteMetricsJSON(f, res.Metrics)
-		default:
-			err = crest.WriteMetricsPrometheus(f, res.Metrics)
-		}
-		if err == nil {
-			err = f.Close()
-		}
+		err := render(*metOut, stdout, func(w io.Writer) error {
+			switch {
+			case strings.HasSuffix(*metOut, ".csv"):
+				return crest.WriteMetricsCSV(w, res.Metrics)
+			case strings.HasSuffix(*metOut, ".json"):
+				return crest.WriteMetricsJSON(w, res.Metrics)
+			}
+			return crest.WriteMetricsPrometheus(w, res.Metrics)
+		})
 		if err != nil {
 			fmt.Fprintf(stderr, "cresttrace: writing %s: %v\n", *metOut, err)
 			return 1
@@ -546,30 +501,16 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 			len(res.Metrics.Series), len(res.Metrics.Times), *metOut)
 	}
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
-
 	snap := res.Trace
-	switch *format {
-	case "json":
-		err = crest.WriteChromeTrace(bw, snap)
-	case "spans":
-		err = crest.WriteSpanSummary(bw, snap)
-	case "hotkeys":
-		err = crest.WriteHotKeys(bw, snap, *top)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
+	err = render(*out, stdout, func(w io.Writer) error {
+		switch *format {
+		case "json":
+			return crest.WriteChromeTrace(w, snap)
+		case "spans":
+			return crest.WriteSpanSummary(w, snap)
+		}
+		return crest.WriteHotKeys(w, snap, *top)
+	})
 	if err != nil {
 		fmt.Fprintf(stderr, "cresttrace: %v\n", err)
 		return 1
@@ -577,4 +518,30 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "[%s/%s: %d events, %d dropped, %.1f KOPS in the traced window]\n",
 		res.System, res.Workload, len(snap.Events), snap.Dropped, res.ThroughputKOPS)
 	return 0
+}
+
+// render writes through a buffer to the file path names, or to stdout
+// when path is empty. The file is closed on every path; a failed write,
+// Flush or Close is returned.
+func render(path string, stdout io.Writer, write func(io.Writer) error) error {
+	w := stdout
+	var f *os.File
+	if path != "" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return err
+		}
+		w = f
+	}
+	bw := bufio.NewWriter(w)
+	err := write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }

@@ -48,6 +48,7 @@ import (
 	"crest/internal/memnode"
 	"crest/internal/metrics"
 	"crest/internal/motor"
+	"crest/internal/observe"
 	"crest/internal/placement"
 	"crest/internal/rdma"
 	"crest/internal/sim"
@@ -170,6 +171,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// observers builds the recorders c switches on; an observer left off
+// stays nil.
+func (c Config) observers() observe.Set {
+	var obs observe.Set
+	if c.Trace {
+		obs.Trace = trace.NewRecorder(c.TraceCapacity)
+	}
+	if c.Metrics {
+		window := metrics.DefaultWindow
+		if c.MetricsWindow > 0 {
+			window = sim.Duration(c.MetricsWindow)
+		}
+		obs.Metrics = metrics.NewRegistry(metrics.Options{Window: window})
+	}
+	if c.Why {
+		obs.Why = causality.NewRecorder(causality.Options{Capacity: c.WhyCapacity})
+	}
+	if c.Flight {
+		obs.Flight = flight.NewRecorder(flight.Options{TxnCapacity: c.FlightCapacity})
+	}
+	return obs
+}
+
 // validate rejects impossible topologies with descriptive errors —
 // every misconfiguration that would otherwise surface as a panic deep
 // inside the memory pool is caught here instead.
@@ -215,10 +239,7 @@ type Cluster struct {
 	finalized bool
 	coords    []engine.Coordinator
 	next      int
-	trace     *trace.Recorder     // nil unless Config.Trace
-	metrics   *metrics.Registry   // nil unless Config.Metrics
-	why       *causality.Recorder // nil unless Config.Why
-	flight    *flight.Recorder    // nil unless Config.Flight
+	obs       observe.Set // the observers Config switches on; the rest nil
 }
 
 // NewCluster builds a cluster. Tables must be created and loaded
@@ -234,27 +255,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		params.RTT = sim.Duration(cfg.RTT)
 	}
 	c.fabric = rdma.NewFabric(c.env, params)
-	if cfg.Trace {
-		c.trace = trace.NewRecorder(cfg.TraceCapacity)
-		c.env.SetObserver(c.trace)
-		c.fabric.SetRecorder(c.trace)
-	}
-	if cfg.Metrics {
-		window := metrics.DefaultWindow
-		if cfg.MetricsWindow > 0 {
-			window = sim.Duration(cfg.MetricsWindow)
-		}
-		c.metrics = metrics.NewRegistry(metrics.Options{Window: window})
-		c.metrics.BindEnv(c.env)
-		c.fabric.SetMetrics(c.metrics)
-	}
-	if cfg.Why {
-		c.why = causality.NewRecorder(causality.Options{Capacity: cfg.WhyCapacity})
-	}
-	if cfg.Flight {
-		c.flight = flight.NewRecorder(flight.Options{TxnCapacity: cfg.FlightCapacity})
-		c.fabric.SetFlight(c.flight)
-	}
+	c.obs = cfg.observers()
 	return c, nil
 }
 
@@ -310,12 +311,7 @@ func (c *Cluster) ensureSystem() error {
 	}
 	c.pool = pool
 	c.db = engine.NewDB(c.pool)
-	c.db.Trace = c.trace
-	c.db.Why = c.why
-	c.db.Flight = c.flight
-	if c.metrics != nil {
-		c.db.SetMetrics(c.metrics)
-	}
+	c.db.Attach(c.env, c.obs)
 	sys, err := bench.NewSystem(bench.SystemKind(c.cfg.System), c.db)
 	if err != nil {
 		return err
@@ -528,7 +524,7 @@ type TraceSnapshot = trace.Snapshot
 // TraceSnapshot copies the trace recorded so far (empty unless the
 // cluster was built with Config.Trace). Render it with
 // WriteChromeTrace, WriteSpanSummary or WriteHotKeys.
-func (c *Cluster) TraceSnapshot() *TraceSnapshot { return c.trace.Snapshot() }
+func (c *Cluster) TraceSnapshot() *TraceSnapshot { return c.obs.Trace.Snapshot() }
 
 // WriteChromeTrace renders a trace snapshot as Chrome trace_event JSON
 // (opens directly in Perfetto or chrome://tracing).
@@ -549,7 +545,7 @@ type MetricsSnapshot = metrics.Snapshot
 // cluster was built with Config.Metrics). Render it with
 // WriteMetricsPrometheus, WriteMetricsCSV, WriteMetricsJSON or
 // WriteMetricsSparklines.
-func (c *Cluster) MetricsSnapshot() *MetricsSnapshot { return c.metrics.Snapshot() }
+func (c *Cluster) MetricsSnapshot() *MetricsSnapshot { return c.obs.Metrics.Snapshot() }
 
 // WriteMetricsPrometheus renders end-of-run instrument values in the
 // Prometheus text exposition format (a valid scrape file).
@@ -582,7 +578,7 @@ type WhySnapshot = causality.Snapshot
 // cluster was built with Config.Why). Explain a single abort with
 // WriteWhyBlame, or export the aggregate contention graph with
 // WriteWhyDOT / WriteWhyJSON.
-func (c *Cluster) WhySnapshot() *WhySnapshot { return c.why.Snapshot() }
+func (c *Cluster) WhySnapshot() *WhySnapshot { return c.obs.Why.Snapshot() }
 
 // WriteWhyBlame renders the blame chain for one transaction: the
 // abort cause, the transaction it lost to, and who that transaction
@@ -610,7 +606,7 @@ type FlightSnapshot = flight.Snapshot
 // cluster was built with Config.Flight). Render the aggregate tail
 // decomposition with WriteFlightTail, one transaction's critical path
 // with WriteFlightCritPath, or export it with WriteFlightJSON.
-func (c *Cluster) FlightSnapshot() *FlightSnapshot { return c.flight.Snapshot() }
+func (c *Cluster) FlightSnapshot() *FlightSnapshot { return c.obs.Flight.Snapshot() }
 
 // WriteFlightTail renders the aggregate latency budget report: p50,
 // p99 and p99.9 cohort decompositions per component, the tail-vs-

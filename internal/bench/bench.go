@@ -22,6 +22,7 @@ import (
 	"crest/internal/memnode"
 	"crest/internal/metrics"
 	"crest/internal/motor"
+	"crest/internal/observe"
 	"crest/internal/placement"
 	"crest/internal/rdma"
 	"crest/internal/scenario"
@@ -113,16 +114,20 @@ type Config struct {
 	Workers int
 }
 
+// observers bundles the configured observers for engine.DB.Attach.
+func (c Config) observers() observe.Set {
+	return observe.Set{Trace: c.Trace, Metrics: c.Metrics, Why: c.Why, Flight: c.Flight}
+}
+
 // Partitioned reports whether the run executes on the partitioned
 // parallel scheduler (sim.World): one partition per shard group. It
 // requires a sharded topology and a partition-safe workload generator.
 // The decision is a property of the topology alone — never of Workers
 // or of attached observability probes — so a partitioned run is
-// byte-identical at every worker count, and attaching trace, metrics
-// or abort forensics never changes the schedule: each partition records
-// into its own shard of the recorder/registry (trace.Recorder.Shard and
-// friends), merged deterministically at snapshot time, so observed runs
-// execute at full worker count.
+// byte-identical at every worker count, and attaching any observer never
+// changes the schedule: each partition records into its own shard of
+// every observer (observe.Set.Shard), merged deterministically at
+// snapshot time, so observed runs execute at full worker count.
 func (c Config) Partitioned(gen workload.Generator) bool {
 	return c.Shards > 1 && workload.IsPartitionSafe(gen)
 }
@@ -377,45 +382,12 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	db := engine.NewDB(pool)
-	// Observers attach per partition: each partition's scheduler,
-	// fabric lane and engine view record into its own shard of the root
-	// recorder/registry, written lock-free by the owning worker and
-	// merged deterministically at snapshot time.
-	if cfg.Trace != nil {
-		if world != nil {
-			for i := 0; i < world.Parts(); i++ {
-				world.Env(i).SetObserver(cfg.Trace.Shard(i, world.Parts()))
-			}
-		} else {
-			env.SetObserver(cfg.Trace)
-		}
-		fabric.SetRecorder(cfg.Trace)
-		db.Trace = cfg.Trace
-	}
-	if cfg.Metrics != nil {
-		if world != nil {
-			// Each partition shard binds its own scheduler, so the sim
-			// gauges (runnable/live procs, dispatches) cover the whole
-			// world after the merge, not just partition 0.
-			for i := 0; i < world.Parts(); i++ {
-				cfg.Metrics.Shard(i, world.Parts()).BindEnv(world.Env(i))
-			}
-		} else {
-			cfg.Metrics.BindEnv(env)
-		}
-		fabric.SetMetrics(cfg.Metrics)
-		db.SetMetrics(cfg.Metrics)
-		if world != nil {
-			registerWorldProbes(cfg.Metrics, world, fabric)
-		}
-	}
-	if cfg.Why != nil {
-		db.Why = cfg.Why
-	}
-	if cfg.Flight != nil {
-		cfg.Flight.SetWarmup(sim.Time(cfg.Warmup))
-		fabric.SetFlight(cfg.Flight)
-		db.Flight = cfg.Flight
+	// Flight captures only transactions that begin in the measurement
+	// window.
+	cfg.Flight.SetWarmup(sim.Time(cfg.Warmup))
+	db.Attach(env, cfg.observers())
+	if world != nil && cfg.Metrics != nil {
+		registerWorldProbes(cfg.Metrics, world, fabric)
 	}
 	if cfg.CheckHistory {
 		db.History = engine.NewHistory()

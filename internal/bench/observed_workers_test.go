@@ -84,9 +84,10 @@ func runObservedCfg(t *testing.T, cfg Config) observedArtifacts {
 }
 
 // The parallel-observability contract: a fully observed partitioned run
-// (trace + metrics + why + flight) is byte-identical at every worker count. The
-// recorders shard per partition and merge deterministically, so neither
-// the schedule nor any rendered export may depend on the thread count.
+// (trace + metrics + why + flight) is byte-identical at every worker
+// count. The recorders shard per partition and merge deterministically,
+// so neither the schedule nor any rendered export may depend on the
+// thread count.
 func TestObservedPartitionedByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, system := range []SystemKind{CREST, FORD, Motor} {
 		system := system

@@ -19,11 +19,7 @@ func oneTxnVerbs(cfg Config) (rdma.Stats, error) {
 	fabric := rdma.NewFabric(env, cfg.Params)
 	pool := memnode.NewPool(fabric, cfg.MemNodes, PoolBytes(gen.Tables(), 1), cfg.Replicas)
 	db := engine.NewDB(pool)
-	if cfg.Trace != nil {
-		env.SetObserver(cfg.Trace)
-		fabric.SetRecorder(cfg.Trace)
-		db.Trace = cfg.Trace
-	}
+	db.Attach(env, cfg.observers())
 	sys, err := NewSystem(cfg.System, db)
 	if err != nil {
 		return rdma.Stats{}, err

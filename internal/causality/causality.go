@@ -21,9 +21,9 @@ package causality
 
 import (
 	"fmt"
-	"sort"
 
 	"crest/internal/layout"
+	"crest/internal/shard"
 	"crest/internal/sim"
 )
 
@@ -196,19 +196,11 @@ type recState struct {
 // is unusable; a nil *Recorder is the disabled state and every method
 // tolerates it.
 type Recorder struct {
-	cap     int
-	edges   []Edge
-	head    int // index of the oldest edge when full
-	full    bool
-	seq     uint64
-	dropped uint64
+	edges shard.Ring[Edge]
+	seq   uint64
 
-	txnCap   int
-	txns     []*Txn
-	thead    int
-	tfull    bool
-	tdropped uint64
-	nextID   uint64
+	txns   shard.Ring[*Txn]
+	nextID uint64
 
 	recs map[recKey]*recState
 
@@ -216,10 +208,7 @@ type Recorder struct {
 	// exactly one partition; txn ids and edge seqs stride by the
 	// partition count so the merged Snapshot stays collision-free
 	// without remapping Cause references.
-	part   int
-	stride int
-	shards []*Recorder
-	root   *Recorder
+	fam shard.Family[Recorder]
 }
 
 // Default ring capacities when the caller passes none.
@@ -245,42 +234,26 @@ func NewRecorder(opt Options) *Recorder {
 	if opt.TxnCapacity <= 0 {
 		opt.TxnCapacity = DefaultTxnCapacity
 	}
-	return &Recorder{cap: opt.Capacity, txnCap: opt.TxnCapacity, recs: map[recKey]*recState{}}
+	return &Recorder{edges: shard.NewRing[Edge](opt.Capacity, 0),
+		txns: shard.NewRing[*Txn](opt.TxnCapacity, 0), recs: map[recKey]*recState{}}
 }
 
 // Enabled reports whether the recorder collects edges.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Shard returns the per-partition child recorder for part out of parts,
-// creating the full child set on first use. Each child must be written
-// by exactly one partition (one sim.Env), which keeps every emission
-// lock-free under the parallel window executor; Snapshot on the root
-// merges all children deterministically. With parts <= 1 (or a nil
-// recorder) Shard returns the receiver, so single-partition wiring is
-// byte-identical to an unsharded recorder. Children stride their txn
-// ids and edge seqs by the partition count, so ids stay globally unique
-// and CauseSeq references survive the merge without remapping.
+// Shard returns the child recorder owned by partition part of parts
+// (see shard.Family.Shard); Snapshot on the root merges the children
+// deterministically. Children stride their txn ids and edge seqs, so
+// ids stay globally unique and CauseSeq references survive the merge
+// without remapping. A nil recorder returns nil.
 func (r *Recorder) Shard(part, parts int) *Recorder {
-	if r == nil || parts <= 1 {
-		return r
+	if r == nil {
+		return nil
 	}
-	if r.stride > 0 {
-		panic("causality: Shard of a partition child")
-	}
-	if r.shards == nil {
-		r.shards = make([]*Recorder, parts)
-		for i := range r.shards {
-			r.shards[i] = &Recorder{cap: r.cap, txnCap: r.txnCap,
-				recs: map[recKey]*recState{}, part: i, stride: parts, root: r}
-		}
-	}
-	if parts != len(r.shards) {
-		panic(fmt.Sprintf("causality: Shard with %d parts after %d", parts, len(r.shards)))
-	}
-	if part < 0 || part >= parts {
-		panic(fmt.Sprintf("causality: Shard part %d out of range [0,%d)", part, parts))
-	}
-	return r.shards[part]
+	return r.fam.Shard(r, part, parts, func(f shard.Family[Recorder]) *Recorder {
+		return &Recorder{edges: shard.NewRing[Edge](r.edges.Cap(), 0),
+			txns: shard.NewRing[*Txn](r.txns.Cap(), 0), recs: map[recKey]*recState{}, fam: f}
+	})
 }
 
 // Dropped reports how many edges were evicted from the edge ring,
@@ -289,11 +262,7 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	d := r.dropped
-	for _, c := range r.shards {
-		d += c.dropped
-	}
-	return d
+	return shard.Sum(r, &r.fam, func(c *Recorder) uint64 { return c.edges.Dropped() })
 }
 
 // Len reports the number of buffered edges, summed across partition
@@ -302,29 +271,15 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := len(r.edges)
-	for _, c := range r.shards {
-		n += len(c.edges)
-	}
-	return n
+	return int(shard.Sum(r, &r.fam, func(c *Recorder) uint64 { return uint64(c.edges.Len()) }))
 }
 
 // emit appends one edge to the ring, evicting the oldest on overflow.
 // It returns the edge's sequence number (strided on partition children).
 func (r *Recorder) emit(e Edge) uint64 {
 	r.seq++
-	e.Seq = r.seq
-	if r.stride > 1 {
-		e.Seq = uint64(r.part) + uint64(r.stride)*(r.seq-1) + 1
-	}
-	if len(r.edges) < r.cap {
-		r.edges = append(r.edges, e)
-		return e.Seq
-	}
-	r.edges[r.head] = e
-	r.head = (r.head + 1) % r.cap
-	r.full = true
-	r.dropped++
+	e.Seq = r.fam.ID(r.seq)
+	r.edges.Push(e)
 	return e.Seq
 }
 
@@ -352,20 +307,9 @@ func (r *Recorder) Begin(p *sim.Proc, coord uint64, label string, txnKey any) *T
 		return prev
 	}
 	r.nextID++
-	id := r.nextID
-	if r.stride > 1 {
-		id = uint64(r.part) + uint64(r.stride)*(r.nextID-1) + 1
-	}
-	t := &Txn{ID: id, Label: label, Coord: coord, Attempt: 1, Start: p.Now(), txnKey: txnKey}
+	t := &Txn{ID: r.fam.ID(r.nextID), Label: label, Coord: coord, Attempt: 1, Start: p.Now(), txnKey: txnKey}
 	p.SetWhyCtx(t)
-	if len(r.txns) < r.txnCap {
-		r.txns = append(r.txns, t)
-		return t
-	}
-	r.txns[r.thead] = t
-	r.thead = (r.thead + 1) % r.txnCap
-	r.tfull = true
-	r.tdropped++
+	r.txns.Push(t)
 	return t
 }
 
@@ -609,104 +553,54 @@ func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
 	}
-	if r.shards == nil {
+	children := r.fam.Children()
+	if children == nil {
 		return r.snapshotLocal()
 	}
-	type tagEdge struct {
-		part int
-		Edge
-	}
-	type tagTxn struct {
-		part int
-		TxnInfo
-	}
-	locals := make([]*Snapshot, 0, 1+len(r.shards))
-	pids := make([]int, 0, 1+len(r.shards))
-	locals = append(locals, r.snapshotLocal())
-	pids = append(pids, -1)
-	for i, c := range r.shards {
-		locals = append(locals, c.snapshotLocal())
-		pids = append(pids, i)
-	}
 	out := &Snapshot{}
-	var edges []tagEdge
-	var txns []tagTxn
-	for k, s := range locals {
-		out.Dropped += s.Dropped
-		out.TxnsDropped += s.TxnsDropped
-		for _, e := range s.Edges {
-			edges = append(edges, tagEdge{pids[k], e})
-		}
-		for _, t := range s.Txns {
-			txns = append(txns, tagTxn{pids[k], t})
-		}
+	edges := shard.NewMerge(r.Len(), func(e *Edge) (int64, uint64) { return int64(e.At), e.Seq })
+	txns := shard.NewMerge(0, func(t *TxnInfo) (int64, uint64) { return int64(t.Start), t.ID })
+	add := func(part int, c *Recorder) {
+		out.Dropped += c.edges.Dropped()
+		out.TxnsDropped += c.txns.Dropped()
+		edges.AddRing(part, &c.edges)
+		txns.Add(part, c.txnInfos()...)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := &edges[i], &edges[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.Seq < b.Seq
-	})
-	sort.Slice(txns, func(i, j int) bool {
-		a, b := &txns[i], &txns[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.ID < b.ID
-	})
-	out.Edges = make([]Edge, len(edges))
-	for i := range edges {
-		out.Edges[i] = edges[i].Edge
+	add(-1, r)
+	for i, c := range children {
+		add(i, c)
 	}
-	out.Txns = make([]TxnInfo, len(txns))
-	for i := range txns {
-		out.Txns[i] = txns[i].TxnInfo
-	}
+	out.Edges = edges.Sorted()
+	out.Txns = txns.Sorted()
 	return out
 }
 
 // snapshotLocal copies one recorder's own rings, oldest to newest.
 func (r *Recorder) snapshotLocal() *Snapshot {
-	s := &Snapshot{}
-	s.Dropped = r.dropped
-	s.TxnsDropped = r.tdropped
-	s.Edges = make([]Edge, 0, len(r.edges))
-	if r.full {
-		s.Edges = append(s.Edges, r.edges[r.head:]...)
-		s.Edges = append(s.Edges, r.edges[:r.head]...)
-	} else {
-		s.Edges = append(s.Edges, r.edges...)
+	return &Snapshot{
+		Edges:       r.edges.AppendTo(make([]Edge, 0, r.edges.Len())),
+		Txns:        r.txnInfos(),
+		Dropped:     r.edges.Dropped(),
+		TxnsDropped: r.txns.Dropped(),
 	}
-	s.Txns = make([]TxnInfo, 0, len(r.txns))
-	appendTxn := func(t *Txn) {
-		ti := TxnInfo{ID: t.ID, Label: t.Label, Coord: t.Coord, Attempt: t.Attempt,
-			Start: t.Start, End: t.End, State: t.State, Reason: t.Reason, Aborts: t.Aborts}
-		if t.CauseSeq != 0 {
-			ti.Cause = &CauseInfo{Seq: t.CauseSeq, Kind: t.CauseKind,
-				Table: t.CauseTable, Key: t.CauseKey, Mask: t.CauseMask, Holder: t.Holder}
-		}
-		s.Txns = append(s.Txns, ti)
-	}
-	if r.tfull {
-		for _, t := range r.txns[r.thead:] {
-			appendTxn(t)
-		}
-		for _, t := range r.txns[:r.thead] {
-			appendTxn(t)
-		}
-	} else {
-		for _, t := range r.txns {
-			appendTxn(t)
+}
+
+// txnInfos copies one recorder's own transaction nodes, oldest first.
+func (r *Recorder) txnInfos() []TxnInfo {
+	out := make([]TxnInfo, 0, r.txns.Len())
+	older, newer := r.txns.Slices()
+	for _, half := range [2][]*Txn{older, newer} {
+		for _, t := range half {
+			ti := TxnInfo{ID: t.ID, Label: t.Label, Coord: t.Coord, Attempt: t.Attempt,
+				Start: t.Start, End: t.End, State: t.State, Reason: t.Reason, Aborts: t.Aborts}
+			if t.CauseSeq != 0 {
+				ti.Cause = &CauseInfo{Seq: t.CauseSeq, Kind: t.CauseKind,
+					Table: t.CauseTable, Key: t.CauseKey, Mask: t.CauseMask, Holder: t.Holder}
+			}
+			out = append(out, ti)
 		}
 	}
-	return s
+	return out
 }
 
 // Txn looks up a node by id (nil when unknown or evicted).

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"crest/internal/causality"
 	"crest/internal/engine"
 	"crest/internal/layout"
 	"crest/internal/memnode"
@@ -58,7 +57,7 @@ func (c *Coordinator) executeDirect(p *sim.Proc, t *engine.Txn) engine.Attempt {
 	ts := db.TSO.Next()
 	c.dWriteLog(p, sc, sc.dWs, ts)
 	at.Phase(trace.PhaseApply)
-	c.dInstall(p, sc, sc.dWs, ts)
+	c.dInstall(p, sc, sc.dWs, ts, at.WhyID())
 	c.dRecord(t, sc.dWs, ts)
 	return at.Done()
 }
@@ -177,18 +176,13 @@ func (c *Coordinator) dFetch(p *sim.Proc, sc *execScratch, ws []*dwork) (engine.
 					w.lockBits |= want
 					db.Tracker.OnLock(w.table(), w.key, accessMaskFor(w.op))
 					w.tracked = true
-					db.Trace.LockAcquire(p.Now(), trace.SpanOf(p), w.table(), w.key, want)
-					db.Why.OnLock(p, w.table(), w.key, want)
-					db.Met.LockAcquires.Inc()
+					db.LockAcquired(p, w.table(), w.key, want)
 				} else {
 					// No-wait on write locks: the attempt aborts.
 					lockFailed = true
 					conflictMask |= db.Tracker.HolderCells(w.table(), w.key)
 					myMask |= accessMaskFor(w.op)
-					db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key,
-						c.cn.sys.lockMaskFor(w.lay, w.op)&^w.lockBits)
-					db.Why.LockFail(p, w.table(), w.key, c.cn.sys.lockMaskFor(w.lay, w.op)&^w.lockBits)
-					db.Met.LockConflicts.Inc()
+					db.LockConflict(p, w.table(), w.key, c.cn.sys.lockMaskFor(w.lay, w.op)&^w.lockBits)
 					continue
 				}
 			}
@@ -198,9 +192,7 @@ func (c *Coordinator) dFetch(p *sim.Proc, sc *execScratch, ws []*dwork) (engine.
 				retry = append(retry, w)
 				conflictMask |= db.Tracker.HolderCells(w.table(), w.key)
 				myMask |= accessMaskFor(w.op)
-				db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, readMask)
-				db.Why.LockFail(p, w.table(), w.key, readMask)
-				db.Met.LockConflicts.Inc()
+				db.LockConflict(p, w.table(), w.key, readMask)
 				continue
 			}
 			w.hdr, w.vals, w.vers = h, vals, vers
@@ -225,7 +217,7 @@ func (c *Coordinator) dFetch(p *sim.Proc, sc *execScratch, ws []*dwork) (engine.
 		todo = retry
 		back := opts.LockBackoff + sim.Duration(p.Rand().Int63n(int64(opts.LockBackoff)))
 		p.Sleep(back)
-		db.Flight.Backoff(p, back)
+		db.Backoff(p, back)
 	}
 }
 
@@ -304,9 +296,7 @@ func (c *Coordinator) dValidate(p *sim.Proc, sc *execScratch, ws []*dwork, attem
 				if otherLocks&bit != 0 {
 					conflicting |= db.Tracker.HolderCells(w.table(), w.key)
 				}
-				db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, bit)
-				db.Why.ValidationFail(p, w.table(), w.key, bit, ck.ts)
-				db.Met.LockConflicts.Inc()
+				db.ValidationConflict(p, w.table(), w.key, bit, ck.ts)
 				return engine.AbortValidation, engine.IsFalseConflict(accessMaskFor(w.op), conflicting)
 			}
 		}
@@ -334,8 +324,7 @@ func (c *Coordinator) dRelease(p *sim.Proc, sc *execScratch, ws []*dwork) {
 			db.Tracker.OnUnlock(w.table(), w.key, accessMaskFor(w.op))
 			w.tracked = false
 		}
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.lockBits)
-		db.Why.OnUnlock(w.table(), w.key, w.lockBits)
+		db.LockReleased(p, w.table(), w.key, w.lockBits)
 		w.lockBits = 0
 	}
 	batches := sc.bat.Batches()
@@ -400,8 +389,9 @@ func (c *Coordinator) writeShardsDworks(ws []*dwork) engine.ShardSet {
 }
 
 // dInstall writes updated cells, bumps their epoch numbers and unlocks
-// on every replica, ordered within one round-trip.
-func (c *Coordinator) dInstall(p *sim.Proc, sc *execScratch, ws []*dwork, ts uint64) {
+// on every replica, ordered within one round-trip. why is the
+// committing transaction's why id.
+func (c *Coordinator) dInstall(p *sim.Proc, sc *execScratch, ws []*dwork, ts, why uint64) {
 	db := c.cn.db
 	sc.bat.Begin()
 	for _, w := range ws {
@@ -413,7 +403,7 @@ func (c *Coordinator) dInstall(p *sim.Proc, sc *execScratch, ws []*dwork, ts uin
 			for _, cell := range w.op.WriteCells {
 				en := w.hdr.EN[cell] + 1
 				if en == 0 { // 16-bit epoch wrapped
-					db.Trace.ENOverflow(p.Now(), trace.SpanOf(p), w.table(), w.key, cell)
+					db.ENOverflow(p, w.table(), w.key, cell)
 				}
 				slot := sc.bytes(layout.CellVersionSize + len(w.vals[cell]))
 				layout.PutCellVersion(slot, layout.CellVersion{EN: en, TS: ts})
@@ -449,9 +439,8 @@ func (c *Coordinator) dInstall(p *sim.Proc, sc *execScratch, ws []*dwork, ts uin
 			w.tracked = false
 		}
 		db.Tracker.OnUpdate(w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Why.OnUpdate(causality.IDOf(p), w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.lockBits)
-		db.Why.OnUnlock(w.table(), w.key, w.lockBits)
+		db.CommittedUpdate(why, w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
+		db.LockReleased(p, w.table(), w.key, w.lockBits)
 		w.lockBits = 0
 	}
 }

@@ -46,13 +46,11 @@ type AttemptTimer struct {
 // trace span.
 func BeginAttempt(db *DB, p *sim.Proc, coord uint64, home int, t *Txn) AttemptTimer {
 	at := AttemptTimer{db: db, p: p, verbs0: db.VerbStats(), start: p.Now(), mark: p.Now(), cur: trace.PhaseExec, shard: home}
-	if db.Trace != nil {
-		at.span = db.Trace.StartSpan(p, coord, t.Label, t)
-		db.Trace.EnterPhase(at.mark, at.span, trace.PhaseExec)
-	}
-	at.why = db.Why.Begin(p, coord, t.Label, t)
-	db.Flight.Begin(p, coord, home, t.Label, t)
-	db.Met.beginAttempt(home)
+	at.span = db.Obs.Trace.StartSpan(p, coord, t.Label, t)
+	db.Obs.Trace.EnterPhase(at.mark, at.span, trace.PhaseExec)
+	at.why = db.Obs.Why.Begin(p, coord, t.Label, t)
+	db.Obs.Flight.Begin(p, coord, home, t.Label, t)
+	db.met.beginAttempt(home)
 	return at
 }
 
@@ -64,7 +62,7 @@ func (at *AttemptTimer) MarkCrossShard() {
 		return
 	}
 	at.cross = true
-	at.db.Met.crossShard()
+	at.db.met.crossShard()
 }
 
 // CrossShard reports whether MarkCrossShard was called this attempt.
@@ -88,8 +86,8 @@ func (at *AttemptTimer) Phase(ph trace.Phase) {
 	at.dur[at.cur] += now.Sub(at.mark)
 	at.mark = now
 	at.cur = ph
-	at.db.Trace.EnterPhase(now, at.span, ph)
-	at.db.Flight.Phase(at.p, ph)
+	at.db.Obs.Trace.EnterPhase(now, at.span, ph)
+	at.db.Obs.Flight.Phase(at.p, ph)
 }
 
 // Fail marks the attempt aborted: the failing phase's duration is
@@ -104,13 +102,11 @@ func (at *AttemptTimer) Fail(reason AbortReason, falseConflict bool) {
 	at.failed = true
 	at.reason = reason
 	at.falseC = falseConflict
-	if at.db.Trace != nil {
-		at.db.Trace.Abort(now, at.span, reason.String(), falseConflict)
-		at.db.Trace.EnterPhase(now, at.span, trace.PhaseRelease)
-	}
-	at.db.Why.Abort(now, at.why, reason.String())
-	at.db.Flight.Fail(at.p, reason.String(), reason == AbortWait)
-	at.db.Met.fail(reason, falseConflict, at.cross)
+	at.db.Obs.Trace.Abort(now, at.span, reason.String(), falseConflict)
+	at.db.Obs.Trace.EnterPhase(now, at.span, trace.PhaseRelease)
+	at.db.Obs.Why.Abort(now, at.why, reason.String())
+	at.db.Obs.Flight.Fail(at.p, reason.String(), reason == AbortWait)
+	at.db.met.fail(reason, falseConflict, at.cross)
 }
 
 // Done closes the attempt and returns its outcome. The verb diff is
@@ -120,14 +116,14 @@ func (at *AttemptTimer) Done() Attempt {
 	now := at.p.Now()
 	if !at.failed {
 		at.dur[at.cur] += now.Sub(at.mark)
-		at.db.Trace.Commit(now, at.span)
-		at.db.Why.Commit(now, at.why)
+		at.db.Obs.Trace.Commit(now, at.span)
+		at.db.Obs.Why.Commit(now, at.why)
 	}
 	// Flight keeps charging past a Fail (release time stays in the
 	// budget, which must sum to elapsed virtual time), so it closes on
 	// every path.
-	at.db.Flight.Done(at.p, !at.failed)
-	at.db.Met.done(!at.failed, now.Sub(at.start), at.shard)
+	at.db.Obs.Flight.Done(at.p, !at.failed)
+	at.db.met.done(!at.failed, now.Sub(at.start), at.shard)
 	return Attempt{
 		Committed:     !at.failed,
 		Reason:        at.reason,

@@ -3,16 +3,13 @@ package engine
 import (
 	"fmt"
 
-	"crest/internal/causality"
-	"crest/internal/flight"
 	"crest/internal/hashindex"
 	"crest/internal/layout"
 	"crest/internal/memnode"
-	"crest/internal/metrics"
+	"crest/internal/observe"
 	"crest/internal/placement"
 	"crest/internal/rdma"
 	"crest/internal/sim"
-	"crest/internal/trace"
 )
 
 // Table is one table's placement in the memory pool: a heap of record
@@ -79,29 +76,19 @@ type DB struct {
 	Tracker *ConflictTracker
 	History *History
 	Cost    CostModel
-	// Trace, when non-nil, receives every engine-level event (spans,
-	// phases, lock traffic). Callers who set it should also call
-	// Fabric.SetRecorder and sim's SetObserver with the same recorder.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, is the registry the Met bundle's
-	// instruments live in. Set both through SetMetrics; callers who
-	// enable metrics should also call Fabric.SetMetrics and the
-	// registry's BindEnv.
-	Metrics *metrics.Registry
-	// Met holds the engine instrument handles. It is a value struct so
-	// protocol code can use it unconditionally: with metrics disabled
-	// every handle is nil and every call no-ops.
-	Met Metrics
-	// Why, when non-nil, records wait-for and conflict edges for abort
-	// forensics (blame chains, contention graphs). Like Trace it is
-	// nil-safe and host-side only: enabling it never changes virtual
-	// time, events or randomness.
-	Why *causality.Recorder
-	// Flight, when non-nil, records per-transaction latency budgets and
-	// critical paths (tail forensics). Nil-safe and host-side only, like
-	// Why; callers who set it should also call Fabric.SetFlight so wire
-	// time is attributed.
-	Flight *flight.Recorder
+	// Obs holds the run's observers: the trace recorder (spans, phases,
+	// lock traffic), the metrics registry the met instruments live in,
+	// the why recorder (wait-for and conflict edges for abort forensics)
+	// and the flight recorder (per-transaction latency budgets). Each is
+	// nil-able and host-side only: enabling one never changes virtual
+	// time, events or randomness. Set it through Attach, which also
+	// wires the schedulers and the fabric; protocol code reports to it
+	// only through the hooks in observe.go.
+	Obs observe.Set
+	// met holds the engine instrument handles. It is a value struct so
+	// the hooks can use it unconditionally: with metrics disabled every
+	// handle is nil and every call no-ops.
+	met Metrics
 
 	// lane is the fabric lane (simulation partition) this DB's verbs
 	// are counted in: 0 except on partition views.
@@ -152,19 +139,12 @@ func (db *DB) PartitionView(env *sim.Env, part int) *DB {
 		Tracker: NewConflictTracker(),
 		History: db.History.Fork(),
 		Cost:    db.Cost,
-		Trace:   db.Trace.Shard(part, parts),
-		Metrics: db.Metrics.Shard(part, parts),
-		Met:     db.Met,
-		Why:     db.Why.Shard(part, parts),
-		Flight:  db.Flight.Shard(part, parts),
 		lane:    part,
 	}
-	if v.Metrics != db.Metrics {
-		// Rebuild the engine instrument handles on the partition's shard
-		// registry so counts accrue partition-locally (Pool is shared, so
-		// the per-shard-group labels come out the same).
-		v.SetMetrics(v.Metrics)
-	}
+	// The engine instrument handles are rebuilt on the partition's shard
+	// registry so counts accrue partition-locally (Pool is shared, so
+	// the per-shard-group labels come out the same).
+	v.observe(db.Obs.Shard(part, parts))
 	return v
 }
 

@@ -4,14 +4,16 @@ import (
 	"strconv"
 
 	"crest/internal/metrics"
+	"crest/internal/observe"
 	"crest/internal/sim"
 )
 
 // Metrics is the engine-level instrument bundle. It is a value struct of
 // nil-safe instrument handles: on a DB without metrics every field is
-// nil and every call through it is a no-op, so protocol code uses
-// db.Met unconditionally. All three engines share the bundle because
-// they share the attempt timer and the abort-reason vocabulary.
+// nil and every call through it is a no-op, so the attempt timer and
+// the hooks use db.met unconditionally. All three engines share the
+// bundle because they share the attempt timer and the abort-reason
+// vocabulary.
 type Metrics struct {
 	// Active tracks transaction attempts currently executing (between
 	// BeginAttempt and Done).
@@ -57,13 +59,14 @@ type Metrics struct {
 	ShardCommits []*metrics.Counter
 }
 
-// SetMetrics registers the engine instruments in r and installs the
-// bundle on the DB. A nil registry leaves the disabled (zero) bundle in
-// place; calling it twice re-registers idempotently.
-func (db *DB) SetMetrics(r *metrics.Registry) {
-	db.Metrics = r
+// observe installs obs on db and registers the engine instruments in
+// obs.Metrics; without a registry the bundle stays disabled (zero).
+// Registration is idempotent, so observing one registry twice reuses
+// the same handles.
+func (db *DB) observe(obs observe.Set) {
+	db.Obs, db.met = obs, Metrics{}
+	r := obs.Metrics
 	if r == nil {
-		db.Met = Metrics{}
 		return
 	}
 	m := Metrics{
@@ -108,7 +111,7 @@ func (db *DB) SetMetrics(r *metrics.Registry) {
 				"Committed attempts, by home shard group."))
 		}
 	}
-	db.Met = m
+	db.met = m
 }
 
 // beginAttempt records an attempt starting on home shard group.

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"sort"
 
+	"crest/internal/shard"
 	"crest/internal/sim"
 	"crest/internal/trace"
 )
@@ -261,14 +262,10 @@ type Options struct {
 // no locking is needed. The zero Recorder is unusable; a nil *Recorder
 // is the disabled state and every method tolerates it.
 type Recorder struct {
-	txnCap  int
-	k       int
-	warmup  sim.Time
-	ring    []TxnBudget
-	head    int
-	full    bool
-	dropped uint64
-	nextID  uint64
+	k      int
+	warmup sim.Time
+	ring   shard.Ring[TxnBudget]
+	nextID uint64
 
 	buckets map[bucketKey]*bucket
 	free    []*rec
@@ -276,10 +273,7 @@ type Recorder struct {
 
 	// Partitioned mode (see Shard): ids stride by the partition count
 	// so the merged Snapshot stays collision-free.
-	part   int
-	stride int
-	shards []*Recorder
-	root   *Recorder
+	fam shard.Family[Recorder]
 }
 
 // NewRecorder returns an enabled recorder.
@@ -294,9 +288,8 @@ func NewRecorder(opt Options) *Recorder {
 		opt.ExemplarK = MaxExemplarK
 	}
 	return &Recorder{
-		txnCap:  opt.TxnCapacity,
 		k:       opt.ExemplarK,
-		ring:    make([]TxnBudget, 0, opt.TxnCapacity),
+		ring:    shard.NewRing[TxnBudget](opt.TxnCapacity, opt.TxnCapacity),
 		buckets: map[bucketKey]*bucket{},
 	}
 }
@@ -312,41 +305,24 @@ func (r *Recorder) SetWarmup(cutoff sim.Time) {
 		return
 	}
 	r.warmup = cutoff
-	for _, c := range r.shards {
+	for _, c := range r.fam.Children() {
 		c.warmup = cutoff
 	}
 }
 
-// Shard returns the per-partition child recorder for part out of
-// parts, creating the full child set on first use. Each child must be
-// written by exactly one partition (one sim.Env), which keeps every
-// emission lock-free under the parallel window executor; Snapshot on
-// the root merges all children deterministically. With parts <= 1 (or
-// a nil recorder) Shard returns the receiver, so single-partition
-// wiring is byte-identical to an unsharded recorder.
+// Shard returns the child recorder owned by partition part of parts
+// (see shard.Family.Shard); Snapshot on the root merges the children
+// deterministically. A nil recorder returns nil.
 func (r *Recorder) Shard(part, parts int) *Recorder {
-	if r == nil || parts <= 1 {
-		return r
+	if r == nil {
+		return nil
 	}
-	if r.stride > 0 {
-		panic("flight: Shard of a partition child")
-	}
-	if r.shards == nil {
-		r.shards = make([]*Recorder, parts)
-		for i := range r.shards {
-			r.shards[i] = &Recorder{txnCap: r.txnCap, k: r.k, warmup: r.warmup,
-				ring:    make([]TxnBudget, 0, r.txnCap),
-				buckets: map[bucketKey]*bucket{},
-				part:    i, stride: parts, root: r}
-		}
-	}
-	if parts != len(r.shards) {
-		panic(fmt.Sprintf("flight: Shard with %d parts after %d", parts, len(r.shards)))
-	}
-	if part < 0 || part >= parts {
-		panic(fmt.Sprintf("flight: Shard part %d out of range [0,%d)", part, parts))
-	}
-	return r.shards[part]
+	return r.fam.Shard(r, part, parts, func(f shard.Family[Recorder]) *Recorder {
+		return &Recorder{k: r.k, warmup: r.warmup,
+			ring:    shard.NewRing[TxnBudget](r.ring.Cap(), r.ring.Cap()),
+			buckets: map[bucketKey]*bucket{},
+			fam:     f}
+	})
 }
 
 // Dropped reports how many summaries were evicted from the ring,
@@ -355,11 +331,7 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	d := r.dropped
-	for _, c := range r.shards {
-		d += c.dropped
-	}
-	return d
+	return shard.Sum(r, &r.fam, func(c *Recorder) uint64 { return c.ring.Dropped() })
 }
 
 // Len reports the number of buffered summaries, summed across
@@ -368,11 +340,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := len(r.ring)
-	for _, c := range r.shards {
-		n += len(c.ring)
-	}
-	return n
+	return int(shard.Sum(r, &r.fam, func(c *Recorder) uint64 { return uint64(c.ring.Len()) }))
 }
 
 // ctxOf extracts the flight record from a proc's flight context.
@@ -430,11 +398,7 @@ func (r *Recorder) Begin(p *sim.Proc, coord uint64, home int, label string, txnK
 	}
 	x := r.alloc()
 	r.nextID++
-	id := r.nextID
-	if r.stride > 1 {
-		id = uint64(r.part) + uint64(r.stride)*(r.nextID-1) + 1
-	}
-	x.id = id
+	x.id = r.fam.ID(r.nextID)
 	x.label = label
 	x.coord = coord
 	x.shard = home
@@ -625,15 +589,7 @@ func (r *Recorder) finalize(x *rec) {
 		r.release(x)
 		return
 	}
-	s := x.summary()
-	if len(r.ring) < r.txnCap {
-		r.ring = append(r.ring, s)
-	} else {
-		r.ring[r.head] = s
-		r.head = (r.head + 1) % r.txnCap
-		r.full = true
-		r.dropped++
-	}
+	r.ring.Push(x.summary())
 	if !r.offer(x) {
 		r.release(x)
 	}
@@ -766,12 +722,6 @@ func (x *rec) detail() []AttemptInfo {
 	return out
 }
 
-// taggedRec pairs a retained record with its partition for merging.
-type taggedRec struct {
-	part int
-	x    *rec
-}
-
 // Snapshot copies the rings and exemplar buckets (a nil recorder
 // yields an empty snapshot). A partitioned recorder merges every child
 // deterministically: summaries order by (begin, partition, id) and
@@ -783,58 +733,28 @@ func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return out
 	}
-	type tagTxn struct {
-		part int
-		TxnBudget
-	}
-	var txns []tagTxn
-	byBucket := map[bucketKey][]taggedRec{}
+	txns := shard.NewMerge(r.Len(), func(t *TxnBudget) (int64, uint64) { return int64(t.Begin), t.ID })
+	byBucket := map[bucketKey][]*rec{}
 	collect := func(part int, c *Recorder) {
-		out.Dropped += c.dropped
-		if c.full {
-			for _, t := range c.ring[c.head:] {
-				txns = append(txns, tagTxn{part, t})
-			}
-			for _, t := range c.ring[:c.head] {
-				txns = append(txns, tagTxn{part, t})
-			}
-		} else {
-			for _, t := range c.ring {
-				txns = append(txns, tagTxn{part, t})
-			}
-		}
+		out.Dropped += c.ring.Dropped()
+		txns.AddRing(part, &c.ring)
 		// Open records surface as aborted-so-far summaries (no
 		// mutation: the run may continue after the snapshot).
 		for _, x := range c.live {
 			if x.skip {
 				continue
 			}
-			txns = append(txns, tagTxn{part, x.summary()})
+			txns.Add(part, x.summary())
 		}
 		for key, b := range c.buckets {
-			for i := 0; i < b.n; i++ {
-				byBucket[key] = append(byBucket[key], taggedRec{part, b.recs[i]})
-			}
+			byBucket[key] = append(byBucket[key], b.recs[:b.n]...)
 		}
 	}
 	collect(-1, r)
-	for i, c := range r.shards {
+	for i, c := range r.fam.Children() {
 		collect(i, c)
 	}
-	sort.Slice(txns, func(i, j int) bool {
-		a, b := &txns[i], &txns[j]
-		if a.Begin != b.Begin {
-			return a.Begin < b.Begin
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.ID < b.ID
-	})
-	out.Txns = make([]TxnBudget, len(txns))
-	for i := range txns {
-		out.Txns[i] = txns[i].TxnBudget
-	}
+	out.Txns = txns.Sorted()
 	keys := make([]bucketKey, 0, len(byBucket))
 	for key := range byBucket {
 		keys = append(keys, key)
@@ -847,13 +767,15 @@ func (r *Recorder) Snapshot() *Snapshot {
 	})
 	for _, key := range keys {
 		cands := byBucket[key]
-		sort.Slice(cands, func(i, j int) bool { return better(cands[i].x, cands[j].x) })
+		// better is a total order (ids are unique across the family),
+		// so the ranking needs no partition tag.
+		sort.Slice(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
 		n := len(cands)
 		if n > r.k {
 			n = r.k
 		}
 		for i := 0; i < n; i++ {
-			x := cands[i].x
+			x := cands[i]
 			out.Exemplars = append(out.Exemplars, Exemplar{
 				TxnBudget: x.summary(), Bucket: key.comp, Detail: x.detail(),
 			})

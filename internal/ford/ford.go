@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"crest/internal/causality"
 	"crest/internal/engine"
 	"crest/internal/hashindex"
 	"crest/internal/layout"
@@ -222,7 +221,7 @@ func (c *Coordinator) Execute(p *sim.Proc, t *engine.Txn) engine.Attempt {
 	ts := db.TSO.Next()
 	c.writeLog(p, sc, sc.ws, ts)
 	at.Phase(trace.PhaseApply)
-	c.install(p, sc, sc.ws, ts)
+	c.install(p, sc, sc.ws, ts, at.WhyID())
 	c.record(t, sc.ws, ts)
 	return at.Done()
 }
@@ -337,18 +336,14 @@ func (c *Coordinator) fetchBlock(p *sim.Proc, sc *execScratch, ws []*work) (engi
 				if results[bi][ri].OK {
 					w.locked = true
 					db.Tracker.OnLock(w.table(), w.key, w.cells)
-					db.Trace.LockAcquire(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-					db.Why.OnLock(p, w.table(), w.key, w.cells)
-					db.Met.LockAcquires.Inc()
+					db.LockAcquired(p, w.table(), w.key, w.cells)
 				} else {
 					if abort == engine.AbortNone {
 						abort = engine.AbortLockFail
 						holder := db.Tracker.HolderCells(w.table(), w.key)
 						falseConflict = engine.IsFalseConflict(w.cells, holder)
 					}
-					db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-					db.Why.LockFail(p, w.table(), w.key, w.cells)
-					db.Met.LockConflicts.Inc()
+					db.LockConflict(p, w.table(), w.key, w.cells)
 				}
 				ri++
 			}
@@ -435,9 +430,7 @@ func (c *Coordinator) validate(p *sim.Proc, sc *execScratch, ws []*work) (engine
 			if ver != w.readVer {
 				conflicting |= db.Tracker.ChangedSince(w.table(), w.key, w.readVer)
 			}
-			db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-			db.Why.ValidationFail(p, w.table(), w.key, w.cells, w.readVer)
-			db.Met.LockConflicts.Inc()
+			db.ValidationConflict(p, w.table(), w.key, w.cells, w.readVer)
 			return engine.AbortValidation, engine.IsFalseConflict(w.cells, conflicting)
 		}
 	}
@@ -461,8 +454,7 @@ func (c *Coordinator) releaseLocks(p *sim.Proc, sc *execScratch, ws []*work) {
 			Swap:    0,
 		})
 		db.Tracker.OnUnlock(w.table(), w.key, w.cells)
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-		db.Why.OnUnlock(w.table(), w.key, w.cells)
+		db.LockReleased(p, w.table(), w.key, w.cells)
 		w.locked = false
 	}
 	batches := sc.bat.Batches()
@@ -535,8 +527,8 @@ func (c *Coordinator) encodeLog(sc *execScratch, ws []*work, ts uint64) []byte {
 // install writes version+data and releases the lock on every replica
 // of every written record — one WRITE plus one CAS per record, all in
 // one round-trip (delivery order makes the data visible before the
-// unlock).
-func (c *Coordinator) install(p *sim.Proc, sc *execScratch, ws []*work, ts uint64) {
+// unlock). why is the committing transaction's why id.
+func (c *Coordinator) install(p *sim.Proc, sc *execScratch, ws []*work, ts, why uint64) {
 	db := c.cn.db
 	sc.bat.Begin()
 	for _, w := range ws {
@@ -577,9 +569,8 @@ func (c *Coordinator) install(p *sim.Proc, sc *execScratch, ws []*work, ts uint6
 		}
 		db.Tracker.OnUnlock(w.table(), w.key, w.cells)
 		db.Tracker.OnUpdate(w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-		db.Why.OnUpdate(causality.IDOf(p), w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Why.OnUnlock(w.table(), w.key, w.cells)
+		db.CommittedUpdate(why, w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
+		db.LockReleased(p, w.table(), w.key, w.cells)
 		w.locked = false
 	}
 }

@@ -24,6 +24,7 @@ package metrics
 import (
 	"fmt"
 
+	"crest/internal/shard"
 	"crest/internal/sim"
 )
 
@@ -92,8 +93,7 @@ type Registry struct {
 	// clock and mutated only by its worker; the root's Snapshot merges
 	// the family deterministically (series summed by identity, samples
 	// added per window).
-	shards []*Registry
-	child  bool // set on partition children: re-sharding them is misuse
+	fam shard.Family[Registry]
 }
 
 // instrument is the registry-side state shared by the typed handles.
@@ -148,32 +148,18 @@ func (r *Registry) BindEnv(env *sim.Env) {
 		env.Dispatched)
 }
 
-// Shard returns the child registry owned by partition part of parts.
-// The whole family is created on the first call with the root's window,
-// so every caller that shards with the same partition count gets the
-// same children. Bind each child to its own partition's environment;
-// the root's Snapshot merges the family — per-identity series sums,
-// per-window sample sums — into one deterministic snapshot. A nil
-// registry or parts <= 1 returns the receiver unchanged, so
-// single-partition runs keep the classic registry byte-for-byte.
+// Shard returns the child registry owned by partition part of parts
+// (see shard.Family.Shard), with the root's window. Bind each child to
+// its own partition's environment; the root's Snapshot merges the
+// family — per-identity series sums, per-window sample sums — into one
+// deterministic snapshot. A nil registry returns nil.
 func (r *Registry) Shard(part, parts int) *Registry {
-	if r == nil || parts <= 1 {
-		return r
+	if r == nil {
+		return nil
 	}
-	if r.child {
-		panic("metrics: Shard of a partition child")
-	}
-	if r.shards == nil {
-		r.shards = make([]*Registry, parts)
-		for i := range r.shards {
-			r.shards[i] = &Registry{window: r.window, byName: map[string]*instrument{}, child: true}
-		}
-	}
-	if len(r.shards) != parts || part < 0 || part >= parts {
-		panic(fmt.Sprintf("metrics: Shard(%d, %d) of a registry sharded %d ways",
-			part, parts, len(r.shards)))
-	}
-	return r.shards[part]
+	return r.fam.Shard(r, part, parts, func(f shard.Family[Registry]) *Registry {
+		return &Registry{window: r.window, byName: map[string]*instrument{}, fam: f}
+	})
 }
 
 // Window reports the registry's sampling period (0 = series disabled).
@@ -516,12 +502,13 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
 	}
-	if r.shards == nil {
+	children := r.fam.Children()
+	if children == nil {
 		return r.snapshotLocal()
 	}
-	parts := make([]*Snapshot, 0, 1+len(r.shards))
+	parts := make([]*Snapshot, 0, 1+len(children))
 	parts = append(parts, r.snapshotLocal())
-	for _, c := range r.shards {
+	for _, c := range children {
 		parts = append(parts, c.snapshotLocal())
 	}
 	return mergeSnapshots(r.window, parts)

@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"crest/internal/causality"
 	"crest/internal/engine"
 	"crest/internal/hashindex"
 	"crest/internal/layout"
@@ -240,7 +239,7 @@ func (c *Coordinator) Execute(p *sim.Proc, t *engine.Txn) engine.Attempt {
 	ts := db.TSO.Next()
 	c.writeLog(p, sc, sc.ws, ts)
 	at.Phase(trace.PhaseApply)
-	c.install(p, sc, sc.ws, ts)
+	c.install(p, sc, sc.ws, ts, at.WhyID())
 	c.record(t, sc.ws, ts, false, 0)
 	return at.Done()
 }
@@ -349,16 +348,12 @@ func (c *Coordinator) fetchBlock(p *sim.Proc, sc *execScratch, ws []*work, snaps
 				if results[bi][s.casIdx].OK {
 					w.locked = true
 					db.Tracker.OnLock(w.table(), w.key, w.cells)
-					db.Trace.LockAcquire(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-					db.Why.OnLock(p, w.table(), w.key, w.cells)
-					db.Met.LockAcquires.Inc()
+					db.LockAcquired(p, w.table(), w.key, w.cells)
 				} else {
 					lockFailed = true
 					conflictMask |= db.Tracker.HolderCells(w.table(), w.key)
 					myMask |= w.cells
-					db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-					db.Why.LockFail(p, w.table(), w.key, w.cells)
-					db.Met.LockConflicts.Inc()
+					db.LockConflict(p, w.table(), w.key, w.cells)
 					continue
 				}
 			}
@@ -368,9 +363,7 @@ func (c *Coordinator) fetchBlock(p *sim.Proc, sc *execScratch, ws []*work, snaps
 				again = append(again, w)
 				conflictMask |= db.Tracker.HolderCells(w.table(), w.key)
 				myMask |= w.cells
-				db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-				db.Why.LockFail(p, w.table(), w.key, w.cells)
-				db.Met.LockConflicts.Inc()
+				db.LockConflict(p, w.table(), w.key, w.cells)
 				continue
 			}
 			slot, victim, newest, found := chooseSlots(rec, w.lay, snapshotRead, snapshot)
@@ -398,7 +391,7 @@ func (c *Coordinator) fetchBlock(p *sim.Proc, sc *execScratch, ws []*work, snaps
 		sc.todo, sc.retry = again, todo[:0]
 		todo = again
 		p.Sleep(2 * sim.Microsecond)
-		db.Flight.Backoff(p, 2*sim.Microsecond)
+		db.Backoff(p, 2*sim.Microsecond)
 	}
 }
 
@@ -521,9 +514,7 @@ func (c *Coordinator) validate(p *sim.Proc, sc *execScratch, ws []*work) (engine
 			if newest != w.readVer {
 				conflicting |= db.Tracker.ChangedSince(w.table(), w.key, w.readVer)
 			}
-			db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-			db.Why.ValidationFail(p, w.table(), w.key, w.cells, w.readVer)
-			db.Met.LockConflicts.Inc()
+			db.ValidationConflict(p, w.table(), w.key, w.cells, w.readVer)
 			return engine.AbortValidation, engine.IsFalseConflict(w.cells, conflicting)
 		}
 	}
@@ -543,8 +534,7 @@ func (c *Coordinator) releaseLocks(p *sim.Proc, sc *execScratch, ws []*work) {
 			Kind: rdma.OpCAS, Off: w.off + layout.BOffLock, Compare: c.gid, Swap: 0,
 		})
 		db.Tracker.OnUnlock(w.table(), w.key, w.cells)
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-		db.Why.OnUnlock(w.table(), w.key, w.cells)
+		db.LockReleased(p, w.table(), w.key, w.cells)
 		w.locked = false
 	}
 	batches := sc.bat.Batches()
@@ -605,8 +595,8 @@ func (c *Coordinator) writeLog(p *sim.Proc, sc *execScratch, ws []*work, ts uint
 // install writes the new version into the victim slot on every
 // replica and releases the lock, all ordered within one round-trip:
 // data, then the metadata word that makes it visible, then the version
-// hint, then the unlock CAS.
-func (c *Coordinator) install(p *sim.Proc, sc *execScratch, ws []*work, ts uint64) {
+// hint, then the unlock CAS. why is the committing transaction's why id.
+func (c *Coordinator) install(p *sim.Proc, sc *execScratch, ws []*work, ts, why uint64) {
 	db := c.cn.db
 	sc.bat.Begin()
 	for _, w := range ws {
@@ -642,9 +632,8 @@ func (c *Coordinator) install(p *sim.Proc, sc *execScratch, ws []*work, ts uint6
 		}
 		db.Tracker.OnUnlock(w.table(), w.key, w.cells)
 		db.Tracker.OnUpdate(w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-		db.Why.OnUpdate(causality.IDOf(p), w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Why.OnUnlock(w.table(), w.key, w.cells)
+		db.CommittedUpdate(why, w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
+		db.LockReleased(p, w.table(), w.key, w.cells)
 		w.locked = false
 	}
 }

@@ -36,6 +36,7 @@ import (
 
 	"crest/internal/flight"
 	"crest/internal/metrics"
+	"crest/internal/observe"
 	"crest/internal/sim"
 	"crest/internal/trace"
 )
@@ -212,26 +213,25 @@ type lane struct {
 	subFree []*applySub // recycled cross-partition apply descriptors
 }
 
-// SetRecorder attaches a trace recorder; every subsequent verb emits
-// issue/complete events and every batch an RTT event. A nil recorder
-// disables emission. On a partitioned fabric each lane records into its
-// own partition shard of the recorder (trace.Recorder.Shard), so
-// emission stays partition-local and the run may execute on any number
-// of workers; the recorder merges deterministically at snapshot time.
-func (f *Fabric) SetRecorder(rec *trace.Recorder) {
+// SetObservers attaches the fabric's observers, replacing any attached
+// before; a nil observer is off. With a trace recorder every subsequent
+// verb emits issue/complete events and every batch an RTT event. With a
+// metrics registry every post moves the fabric gauges and counters;
+// regions registered before or after the call both get per-node
+// instruments. With a flight recorder every post charges its park time
+// (one round-trip per post, classified by verb) to the transaction
+// running on the posting process. None of them consumes virtual time.
+// On a partitioned fabric each lane records into its own partition
+// shard of every observer (observe.Set.Shard), so emission stays
+// partition-local and the run may execute on any number of workers;
+// the observers merge deterministically at snapshot time.
+func (f *Fabric) SetObservers(obs observe.Set) {
 	for i, l := range f.lanes {
-		l.rec = rec.Shard(i, len(f.lanes))
-	}
-}
-
-// SetFlight attaches a flight recorder; every subsequent post charges
-// its park time (one round-trip per post, classified by verb) to the
-// transaction running on the posting process. Like SetRecorder, each
-// lane records into its own partition shard so the run may execute on
-// any number of workers.
-func (f *Fabric) SetFlight(fl *flight.Recorder) {
-	for i, l := range f.lanes {
-		l.fl = fl.Shard(i, len(f.lanes))
+		o := obs.Shard(i, len(f.lanes))
+		l.rec, l.fl, l.met = o.Trace, o.Flight, nil
+		if o.Metrics != nil {
+			l.met = newFabricMetrics(o.Metrics, f.regions)
+		}
 	}
 }
 
@@ -290,25 +290,6 @@ type fabricMetrics struct {
 	batchBytes *metrics.Histogram
 	nodeVerbs  []*metrics.Counter // indexed by region id
 	nodeBytes  []*metrics.Counter
-}
-
-// SetMetrics attaches a metrics registry: every subsequent post moves
-// the fabric gauges and counters. Regions registered before or after
-// the call both get per-node instruments. Metrics consume no virtual
-// time; a nil registry disables the bundle. On a partitioned fabric
-// each lane counts into its own partition shard of the registry
-// (metrics.Registry.Shard) — lock-free under parallel execution, summed
-// deterministically at snapshot time.
-func (f *Fabric) SetMetrics(m *metrics.Registry) {
-	if m == nil {
-		for _, l := range f.lanes {
-			l.met = nil
-		}
-		return
-	}
-	for i, l := range f.lanes {
-		l.met = newFabricMetrics(m.Shard(i, len(f.lanes)), f.regions)
-	}
 }
 
 // newFabricMetrics registers the fabric instrument bundle on reg.
@@ -555,24 +536,35 @@ func opBytes(op *Op) int {
 	return 8
 }
 
-// emitIssue records per-verb issue events for one batch on the issuing
-// lane's recorder shard. Callers guard with l.rec != nil so a disabled
-// recorder costs one pointer check.
-func (l *lane) emitIssue(p *sim.Proc, qp *QP, ops []Op) {
-	s := trace.SpanOf(p)
-	for i := range ops {
-		l.rec.VerbIssue(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]))
+// posted reports one batch issued on the lane to its observer shards:
+// per-verb trace issue events and the fabric metrics' post counts.
+func (l *lane) posted(p *sim.Proc, qp *QP, ops []Op) {
+	if l.rec != nil {
+		s := trace.SpanOf(p)
+		for i := range ops {
+			l.rec.VerbIssue(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]))
+		}
+	}
+	if l.met != nil {
+		l.met.post(qp, ops)
 	}
 }
 
-// emitComplete records the batch's round-trip and per-verb completions,
-// each charged the whole batch latency (doorbell batching amortizes the
-// round-trip across the verbs, not the other way around).
-func (l *lane) emitComplete(p *sim.Proc, qp *QP, ops []Op, lat sim.Duration) {
-	s := trace.SpanOf(p)
-	l.rec.RTT(p.Now(), s, qp.id, qp.region.id, len(ops), batchPayload(ops), lat)
-	for i := range ops {
-		l.rec.VerbComplete(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]), lat)
+// completed reports one batch completing: the trace's round-trip and
+// per-verb completions, each charged the whole batch latency (doorbell
+// batching amortizes the round-trip across the verbs, not the other
+// way around), and the in-flight gauge. Flight charges the park once
+// per post, not per batch, so posts report it separately.
+func (l *lane) completed(p *sim.Proc, qp *QP, ops []Op, lat sim.Duration) {
+	if l.rec != nil {
+		s := trace.SpanOf(p)
+		l.rec.RTT(p.Now(), s, qp.id, qp.region.id, len(ops), batchPayload(ops), lat)
+		for i := range ops {
+			l.rec.VerbComplete(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]), lat)
+		}
+	}
+	if l.met != nil {
+		l.met.complete(ops)
 	}
 }
 
@@ -807,26 +799,16 @@ func (qp *QP) postWith(p *sim.Proc, d *pending, ops []Op) ([]Result, error) {
 	}
 	lane := d.lane
 	lat := f.latency(lane.env.Rand(), batchPayload(ops), len(ops))
-	if lane.rec != nil {
-		lane.emitIssue(p, qp, ops)
-	}
-	if lane.met != nil {
-		lane.met.post(qp, ops)
-	}
+	lane.posted(p, qp, ops)
 	d.proc, d.qp, d.ops = p, qp, ops
 	now := p.Now()
 	d.resumeAt = now.Add(lat)
 	lane.env.CallAt(now.Add(lat/2), d.fire)
 	p.Suspend()
 	res, err := d.res, d.err
-	if lane.rec != nil {
-		lane.emitComplete(p, qp, ops, lat)
-	}
+	lane.completed(p, qp, ops, lat)
 	if lane.fl != nil {
 		lane.fl.Wire(p, classOfOps(ops), lat)
-	}
-	if lane.met != nil {
-		lane.met.complete(ops)
 	}
 	lane.putPending(d)
 	return res, err
@@ -906,9 +888,7 @@ func (d *pending) crossPost(p *sim.Proc) ([]Result, [][]Result, error) {
 			d.out[i] = out
 		}
 	}
-	if lane.rec != nil || lane.met != nil {
-		d.emitPost(p)
-	}
+	d.emitPost(p)
 	d.proc = p
 	now := p.Now()
 	mid := now.Add(maxLat / 2)
@@ -919,9 +899,7 @@ func (d *pending) crossPost(p *sim.Proc) ([]Result, [][]Result, error) {
 	}
 	lane.env.CallAt(d.resumeAt, d.wake)
 	p.Suspend()
-	if lane.rec != nil || lane.met != nil {
-		d.emitDone(p, maxLat)
-	}
+	d.emitDone(p, maxLat)
 	if lane.fl != nil {
 		// One park, one charge: a multi-batch post costs its slowest
 		// batch, so flight charges maxLat once (not per batch).
@@ -949,49 +927,25 @@ func (d *pending) crossPost(p *sim.Proc) ([]Result, [][]Result, error) {
 	return res, out, err
 }
 
-// emitPost records issue-side trace events and metrics for every batch
-// of a cross-partition post. Called only when a probe is attached.
+// emitPost reports every batch of a cross-partition post as issued.
 func (d *pending) emitPost(p *sim.Proc) {
-	l := d.lane
 	if d.qp != nil {
-		if l.rec != nil {
-			l.emitIssue(p, d.qp, d.ops)
-		}
-		if l.met != nil {
-			l.met.post(d.qp, d.ops)
-		}
+		d.lane.posted(p, d.qp, d.ops)
 		return
 	}
 	for _, b := range d.batches {
-		if l.rec != nil {
-			l.emitIssue(p, b.QP, b.Ops)
-		}
-		if l.met != nil {
-			l.met.post(b.QP, b.Ops)
-		}
+		d.lane.posted(p, b.QP, b.Ops)
 	}
 }
 
-// emitDone records completion-side trace events and metrics for every
-// batch of a cross-partition post.
+// emitDone reports every batch of a cross-partition post as completed.
 func (d *pending) emitDone(p *sim.Proc, lat sim.Duration) {
-	l := d.lane
 	if d.qp != nil {
-		if l.rec != nil {
-			l.emitComplete(p, d.qp, d.ops, lat)
-		}
-		if l.met != nil {
-			l.met.complete(d.ops)
-		}
+		d.lane.completed(p, d.qp, d.ops, lat)
 		return
 	}
 	for _, b := range d.batches {
-		if l.rec != nil {
-			l.emitComplete(p, b.QP, b.Ops, lat)
-		}
-		if l.met != nil {
-			l.met.complete(b.Ops)
-		}
+		d.lane.completed(p, b.QP, b.Ops, lat)
 	}
 }
 
@@ -1178,15 +1132,8 @@ func PostMulti(p *sim.Proc, batches []Batch) ([][]Result, error) {
 			maxLat = lat
 		}
 	}
-	if lane.rec != nil {
-		for _, b := range batches {
-			lane.emitIssue(p, b.QP, b.Ops)
-		}
-	}
-	if lane.met != nil {
-		for _, b := range batches {
-			lane.met.post(b.QP, b.Ops)
-		}
+	for _, b := range batches {
+		lane.posted(p, b.QP, b.Ops)
 	}
 	d := lane.getPending(f)
 	d.proc, d.batches = p, batches
@@ -1199,19 +1146,12 @@ func PostMulti(p *sim.Proc, batches []Batch) ([][]Result, error) {
 	lane.env.CallAt(now.Add(maxLat/2), d.fire)
 	p.Suspend()
 	out, err := d.out, d.err
-	if lane.rec != nil {
-		for _, b := range batches {
-			lane.emitComplete(p, b.QP, b.Ops, maxLat)
-		}
+	for _, b := range batches {
+		lane.completed(p, b.QP, b.Ops, maxLat)
 	}
 	if lane.fl != nil {
 		// One park for the whole multi-post: charge its cost once.
 		lane.fl.Wire(p, d.wireClass(), maxLat)
-	}
-	if lane.met != nil {
-		for _, b := range batches {
-			lane.met.complete(b.Ops)
-		}
 	}
 	lane.putPending(d)
 	return out, err
