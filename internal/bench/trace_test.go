@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -117,5 +119,39 @@ func TestTraceReconcilesWithTable2(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProcBlockQueueLabelsPinned pins the wait-queue labels an attached
+// scheduler observer receives. CREST's admission/flush queue and
+// transaction await queue render their labels lazily, and the rendered
+// strings must stay byte-identical to the eagerly formatted ones they
+// replaced. (The object mutex never parks anyone in such a run: its
+// critical section takes no virtual time. internal/core pins its
+// label directly.)
+func TestProcBlockQueueLabelsPinned(t *testing.T) {
+	rec := trace.NewRecorder(0)
+	rec.ProcEvents = true
+	cfg := shortCfg(CREST, tinySmallBank)
+	cfg.Seed = 5
+	cfg.Duration = 1 * sim.Millisecond
+	cfg.Warmup = 200 * sim.Microsecond
+	cfg.Trace = rec
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteChromeTrace(&buf, rec.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{`"queue":"obj `, `"queue":"await txn`} {
+		if !bytes.Contains(buf.Bytes(), []byte(label)) {
+			t.Errorf("trace has no ProcBlock on a %s...\" queue", label)
+		}
+	}
+	const want = "43ad370ea366b0c60d76328001fea1d666e4a49f685dd70f47655aebded0d0a6"
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("chrome trace with scheduler events digest %s, pinned %s", got, want)
 	}
 }

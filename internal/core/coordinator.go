@@ -391,8 +391,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 			}
 		}
 		if waitObj != nil {
-			waitObj.stateQ.SetName(fmt.Sprintf("obj %d/%d admitting=%v flushing=%v locks=%b w=%d r=%d",
-				waitObj.table, waitObj.key, waitObj.admitting, waitObj.flushing, waitObj.remoteLocks, waitObj.writers, waitObj.readers))
+			waitObj.noteAdmitWait()
 			// The admission/flush blocker is whichever coordinator is
 			// inside the object's critical section; attribute the wait
 			// to it when known.

@@ -38,8 +38,10 @@ type txnState struct {
 	waitQ      sim.WaitQueue
 }
 
-func (t *txnState) label() string {
-	return fmt.Sprintf("txn%d(tsExec=%d,status=%d)", t.id, t.tsExec, t.status)
+// WaitLabel renders waitQ's label for observers and deadlock reports
+// (sim.Labeler), so awaiting a transaction formats nothing.
+func (t *txnState) WaitLabel() string {
+	return fmt.Sprintf("await txn%d(tsExec=%d,status=%d)", t.id, t.tsExec, t.status)
 }
 
 // resolve publishes the outcome and wakes every dependent.
@@ -51,8 +53,8 @@ func (t *txnState) resolve(status txnStatus, tsCommit uint64) {
 
 // await blocks p until the transaction resolves.
 func (t *txnState) await(p *sim.Proc) {
+	t.waitQ.SetLabeler(t)
 	for t.status == txnPending {
-		t.waitQ.SetName("await " + t.label())
 		t.waitQ.Wait(p)
 	}
 }
@@ -93,7 +95,7 @@ type object struct {
 	lay     *layout.Record
 	primary *memnode.Node
 
-	mu *sim.Mutex // local 2PL lock (one per object, §5.2)
+	mu sim.Mutex // local 2PL lock (one per object, §5.2)
 
 	readers int // reference counter: local txns reading the record
 	writers int // reference counter: local txns updating the record
@@ -107,6 +109,9 @@ type object struct {
 	// release.
 	releaseReq int
 	stateQ     sim.WaitQueue // waiters for admission / flush transitions
+	// stateSnap is what stateQ's label reports: the object's state
+	// when an admission waiter last parked (see noteAdmitWait).
+	stateSnap stateSnap
 
 	// streak counts consecutive write transactions that piggybacked on
 	// the held remote locks; past Options.MaxPiggyback, drainPending
@@ -139,19 +144,52 @@ type object struct {
 
 func newObject(table layout.TableID, key layout.Key, off uint64, lay *layout.Record, primary *memnode.Node) *object {
 	n := lay.NumCells()
-	return &object{
+	o := &object{
 		table:   table,
 		key:     key,
 		off:     off,
 		lay:     lay,
 		primary: primary,
-		mu:      sim.NewMutex(fmt.Sprintf("obj %d/%d", table, key)),
 		epochs:  make([]uint16, n),
 		base:    make([][]byte, n),
 		baseVer: make([]layout.CellVersion, n),
 		cells:   make([]cellState, n),
-		stateQ:  sim.WaitQueue{},
 	}
+	o.mu.SetLabeler((*mutexLabel)(o))
+	return o
+}
+
+// stateSnap is the slice of object state stateQ's label reports.
+type stateSnap struct {
+	admitting, flushing bool
+	locks               uint64
+	writers, readers    int
+}
+
+// noteAdmitWait records the object's state for stateQ's label just
+// before an admission waiter parks. Only the plain fields are copied;
+// the label is formatted if and when something reads it.
+func (o *object) noteAdmitWait() {
+	o.stateSnap = stateSnap{o.admitting, o.flushing, o.remoteLocks, o.writers, o.readers}
+	o.stateQ.SetLabeler((*stateLabel)(o))
+}
+
+// mutexLabel and stateLabel are the object viewed as the sim.Labeler
+// of its mutex and of stateQ: the conversion from *object is free, so
+// installing either allocates nothing.
+type (
+	mutexLabel object
+	stateLabel object
+)
+
+func (o *mutexLabel) WaitLabel() string {
+	return fmt.Sprintf("mutex obj %d/%d", o.table, o.key)
+}
+
+func (o *stateLabel) WaitLabel() string {
+	s := &o.stateSnap
+	return fmt.Sprintf("obj %d/%d admitting=%v flushing=%v locks=%b w=%d r=%d",
+		o.table, o.key, s.admitting, s.flushing, s.locks, s.writers, s.readers)
 }
 
 // refTotal is the object's total reference count.

@@ -21,7 +21,7 @@
 // (sim.Env.CallAt) while the process stays parked until the completion
 // instant. The apply instant, posted order, atomicity and tie-breaking
 // against other processes are identical to parking twice — only the
-// goroutine context switches are halved.
+// parks, and so the process switches, per round-trip are halved.
 //
 // Every verb and round-trip is counted, which is how the Table 2
 // experiment (RDMA operations per transaction) is regenerated.

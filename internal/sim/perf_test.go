@@ -26,6 +26,30 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkProcSwitch measures one process switch: two processes
+// ping-pong through a WaitQueue at a single instant, so every dispatch
+// hands control to the other process and none is a self-resume.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEnv(1)
+	q := NewWaitQueue("pingpong")
+	n := 0
+	for i := 0; i < 2; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for n < b.N {
+				n++
+				q.Wake(1)
+				q.Wait(p)
+			}
+			q.WakeAll()
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // TestDispatchSteadyStateZeroAlloc pins the zero-allocation dispatch
 // contract: once processes are spawned and the event heap has grown to
 // its working size, running the scheduler allocates nothing.

@@ -17,6 +17,18 @@
 // I/O models apply side effects at an exact virtual instant without
 // waking the issuing process twice. Dispatched events are counted so
 // harnesses can report events/sec.
+//
+// There is no scheduler goroutine. Control is a baton: whichever
+// goroutine holds it runs the dispatch loop (advance) itself. A
+// process that parks or finishes pops the next event, runs due
+// deferred calls inline, and hands the baton straight to the next
+// process with one channel send — or keeps running when that process
+// is itself — so a process switch costs one goroutine handoff, not a
+// round trip through a central loop. The baton returns to the
+// RunUntil (or World window) caller only when nothing is left to run
+// within the bound. Wait-queue labels are lazy for the same reason: a
+// queue may carry a Labeler that is formatted only when an observer or
+// a deadlock report reads it.
 package sim
 
 import (
@@ -148,9 +160,14 @@ type Observer interface {
 // Env is a simulation environment: a virtual clock, an event queue and
 // a set of cooperative processes.
 type Env struct {
-	now        Time
-	events     eventHeap
-	seq        uint64
+	now    Time
+	events eventHeap
+	seq    uint64
+	// bound is the inclusive time limit of the run in progress
+	// (RunUntil's deadline or the World window's end); advance
+	// dispatches nothing beyond it. ack returns the baton to the
+	// goroutine that started the run.
+	bound      Time
 	ack        chan struct{}
 	rng        *rand.Rand
 	live       int // processes spawned and not yet finished
@@ -166,9 +183,10 @@ type Env struct {
 	procs []*Proc
 	free  []*Proc
 
-	// current is the process the scheduler has handed control to, nil
-	// between dispatches; inCall is true while a deferred CallAt
-	// function runs. Together they enforce Stop's contract.
+	// current is the process holding the baton, nil while the
+	// dispatch loop runs between processes; inCall is true while a
+	// deferred CallAt function runs. Together they enforce Stop's
+	// contract.
 	current *Proc
 	inCall  bool
 
@@ -223,9 +241,8 @@ func (e *Env) Waiting() int { return e.waiting }
 func (e *Env) Dispatched() uint64 { return e.dispatched }
 
 // Proc is a simulated process. Its function runs on a dedicated
-// goroutine but only while the scheduler has handed it control;
-// everything it does between two blocking calls is atomic in virtual
-// time.
+// goroutine but only while the process holds the baton; everything it
+// does between two blocking calls is atomic in virtual time.
 //
 // Finished Proc shells (struct and resume channel) are pooled and
 // reused by later Spawns; gen disambiguates incarnations so a stale
@@ -240,10 +257,11 @@ type Proc struct {
 
 	// waiting/waitQ are the Proc-resident wait bookkeeping: set while
 	// the process is parked on a WaitQueue (or suspended awaiting a
-	// deferred resume), with the queue label for deadlock reports.
-	// Keeping them here avoids a map mutation on every Wait/Wake.
+	// deferred resume), with the queue whose label deadlock reports
+	// render. Keeping them here avoids a map mutation on every
+	// Wait/Wake.
 	waiting bool
-	waitQ   string
+	waitQ   *WaitQueue
 
 	// traceCtx carries an opaque per-process tracing context (the
 	// current transaction span). It lives here so lower layers (the
@@ -304,7 +322,7 @@ func (e *Env) newProc(name string, fn func(*Proc)) *Proc {
 		p.name, p.fn = name, fn
 		p.done = false
 		p.waiting = false
-		p.waitQ = ""
+		p.waitQ = nil
 		p.traceCtx = nil
 		p.whyCtx = nil
 		p.flightCtx = nil
@@ -352,17 +370,20 @@ func (e *Env) schedule(p *Proc, at Time) {
 }
 
 // CallAt schedules fn to run at virtual time at, which must not be in
-// the past. The call executes on the scheduler goroutine, between
-// process dispatches, atomically at its instant: fn may inspect the
-// environment, mutate model state and Resume suspended processes, but
-// it must not block, park, or run for unbounded time. Ties with
+// the past. The call executes inside the dispatch loop, between
+// process dispatches, atomically at its instant — on whichever
+// goroutine holds the baton, which is no process's business: fn must
+// not touch the Proc whose goroutine happens to run it. fn may inspect
+// the environment, mutate model state and Resume suspended processes,
+// but it must not block, park, or run for unbounded time. A panic in
+// fn ends the run with an error, like a panic in a process. Ties with
 // process wakeups at the same instant are broken by schedule order
 // (seq), exactly as between two wakeups.
 //
 // CallAt exists for I/O models: the RDMA fabric applies a verb batch
 // at the round-trip midpoint via CallAt while the issuing process
-// stays parked until the completion instant, halving the goroutine
-// context switches per round-trip.
+// stays parked until the completion instant, so a round-trip parks and
+// wakes the process once instead of twice.
 func (e *Env) CallAt(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: CallAt(%v) in the past (now %v)", at, e.now))
@@ -378,7 +399,7 @@ func (e *Env) CallAt(at Time, fn func()) {
 // fabric's round-trip model.
 func (p *Proc) Suspend() {
 	p.waiting = true
-	p.waitQ = "suspended"
+	p.waitQ = &suspended
 	p.env.waiting++
 	p.park()
 }
@@ -394,38 +415,121 @@ func (e *Env) Resume(p *Proc, at Time) {
 		panic(fmt.Sprintf("sim: Resume of process %q that is not suspended", p.name))
 	}
 	p.waiting = false
-	p.waitQ = ""
+	p.waitQ = nil
 	e.waiting--
 	e.schedule(p, at)
 }
 
+// suspended labels processes parked by Suspend in deadlock reports.
+// Nothing ever waits on it, so partitions may share it.
+var suspended = WaitQueue{name: "suspended"}
+
 func (p *Proc) run() {
 	<-p.resume // wait for first dispatch
 	defer func() {
+		e := p.env
 		if r := recover(); r != nil {
 			buf := make([]byte, 16<<10)
 			n := runtime.Stack(buf, false)
-			p.env.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, buf[:n])
+			e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, buf[:n])
 		}
 		p.done = true
-		p.env.live--
-		if p.env.obs != nil {
-			p.env.obs.ProcFinish(p.name, p.env.now)
+		e.live--
+		if e.obs != nil {
+			e.obs.ProcFinish(p.name, e.now)
 		}
-		// Return the shell to the pool before handing control back:
-		// the scheduler is blocked on ack, so no Spawn can race the
-		// reuse, and this goroutine touches p no further.
-		p.env.free = append(p.env.free, p)
-		p.env.ack <- struct{}{}
+		// Return the shell to the pool before passing the baton on:
+		// a deferred call the loop runs below may Spawn into it, so
+		// this goroutine touches p no further.
+		e.free = append(e.free, p)
+		e.current = nil
+		e.handoff(e.advance())
 	}()
 	p.fn(p)
 }
 
-// park yields control back to the scheduler and blocks until the next
-// dispatch.
+// park runs the dispatch loop on the calling process's goroutine and
+// passes the baton to the next process to run. If that is p itself it
+// simply returns; otherwise it blocks until p is dispatched again.
 func (p *Proc) park() {
-	p.env.ack <- struct{}{}
+	e := p.env
+	e.current = nil
+	next := e.advance()
+	if next == p {
+		e.current = p
+		return
+	}
+	e.handoff(next)
 	<-p.resume
+}
+
+// advance is the dispatch loop. It pops events due at or before
+// e.bound in (at, seq) order, skipping stale wakeups and running
+// deferred calls inline, and returns the next process to run. It
+// returns nil when the run must go back to its caller: nothing is due,
+// Stop was called, or a process or deferred call failed. It runs on
+// whichever goroutine holds the baton.
+func (e *Env) advance() *Proc {
+	for len(e.events) > 0 && !e.stopped && e.failure == nil {
+		if e.events[0].at > e.bound {
+			return nil
+		}
+		ev := e.events.pop()
+		if ev.fn == nil && (ev.proc.done || ev.proc.gen != ev.gen) {
+			continue // stale wakeup for a finished or reused process
+		}
+		if ev.at > e.now {
+			e.now = ev.at
+		}
+		e.dispatched++
+		if e.dispatchHook != nil {
+			e.dispatchHook(ev.at, ev.seq, ev.proc)
+		}
+		if ev.fn != nil {
+			e.call(ev.at, ev.fn)
+			continue
+		}
+		return ev.proc
+	}
+	return nil
+}
+
+// call runs one deferred call, turning a panic into the run's failure
+// so it surfaces from Run like a process panic does.
+func (e *Env) call(at Time, fn func()) {
+	e.inCall = true
+	defer func() {
+		e.inCall = false
+		if r := recover(); r != nil {
+			buf := make([]byte, 16<<10)
+			n := runtime.Stack(buf, false)
+			e.failure = fmt.Errorf("sim: deferred call at %v panicked: %v\n%s", at, r, buf[:n])
+		}
+	}()
+	fn()
+}
+
+// handoff passes the baton to next, or back to the run's caller when
+// next is nil.
+func (e *Env) handoff(next *Proc) {
+	e.current = next
+	if next == nil {
+		e.ack <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
+}
+
+// runTo dispatches events due at or before bound. The calling
+// goroutine runs the loop until the first process is due, hands it
+// the baton, and waits until some process's advance finds nothing left
+// to run within bound (or Stop or a failure ends the run).
+func (e *Env) runTo(bound Time) {
+	e.bound = bound
+	if p := e.advance(); p != nil {
+		e.handoff(p)
+		<-e.ack
+	}
 }
 
 // Sleep suspends the process for d of virtual time. A non-positive d
@@ -453,40 +557,16 @@ func (e *Env) Run() error { return e.RunUntil(Time(1<<62 - 1)) }
 // event (or the deadline if nothing ran past it).
 func (e *Env) RunUntil(deadline Time) error {
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > deadline {
-			e.now = deadline
-			return e.failure
-		}
-		ev := e.events.pop()
-		if ev.fn == nil && (ev.proc.done || ev.proc.gen != ev.gen) {
-			continue // stale wakeup for a finished or reused process
-		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		e.dispatched++
-		if e.dispatchHook != nil {
-			e.dispatchHook(ev.at, ev.seq, ev.proc)
-		}
-		if ev.fn != nil {
-			e.inCall = true
-			ev.fn()
-			e.inCall = false
-			continue
-		}
-		e.current = ev.proc
-		ev.proc.resume <- struct{}{}
-		<-e.ack
-		e.current = nil
-		if e.failure != nil {
-			return e.failure
-		}
-	}
-	if e.failure != nil {
+	e.runTo(deadline)
+	switch {
+	case e.failure != nil:
 		return e.failure
-	}
-	if !e.stopped && e.waiting > 0 {
+	case e.stopped:
+		return nil
+	case len(e.events) > 0: // the next event lies beyond the deadline
+		e.now = deadline
+		return nil
+	case e.waiting > 0:
 		return fmt.Errorf("sim: deadlock at %v: %d process(es) parked forever: %v",
 			e.now, e.waiting, e.waiterNames())
 	}
@@ -511,7 +591,7 @@ func (e *Env) waiterNames() []string {
 			continue
 		}
 		total++
-		name := p.name + " @ " + p.waitQ
+		name := p.name + " @ " + p.waitQ.label()
 		i := sort.SearchStrings(names, name)
 		switch {
 		case len(names) < maxWaiterNames:
@@ -534,8 +614,8 @@ func (e *Env) waiterNames() []string {
 // process exits, which is fine for one-shot simulations).
 //
 // Stop must be called from inside a running process (or a CallAt
-// function); calling it from outside the scheduler would race the run
-// loop, so it panics instead.
+// function), i.e. by the goroutine holding the baton; calling it from
+// anywhere else would race the dispatch loop, so it panics instead.
 func (e *Env) Stop() {
 	if e.current == nil && !e.inCall {
 		panic("sim: Stop called from outside a running process; " +
@@ -552,7 +632,26 @@ func (e *Env) Stopped() bool { return e.stopped }
 // primitive beneath Mutex and Cond.
 type WaitQueue struct {
 	name string
+	lab  Labeler
 	ps   []*Proc
+}
+
+// Labeler renders a wait queue's label on demand. A queue with a
+// labeler formats nothing on the Wait/Wake path: WaitLabel is called
+// only when an Observer is attached (ProcBlock, at Wait time) or a
+// deadlock or WaitingProcs report is rendered (with the labeler's
+// state at that moment). Implement it on a pointer type, so installing
+// one stores a pointer and allocates nothing.
+type Labeler interface {
+	WaitLabel() string
+}
+
+// label is the queue's current label.
+func (q *WaitQueue) label() string {
+	if q.lab != nil {
+		return q.lab.WaitLabel()
+	}
+	return q.name
 }
 
 // NewWaitQueue returns a queue labelled name (used in deadlock
@@ -567,10 +666,10 @@ func (q *WaitQueue) Len() int { return len(q.ps) }
 func (q *WaitQueue) Wait(p *Proc) {
 	q.ps = append(q.ps, p)
 	p.waiting = true
-	p.waitQ = q.name
+	p.waitQ = q
 	p.env.waiting++
 	if p.env.obs != nil {
-		p.env.obs.ProcBlock(p.name, q.name, p.env.now)
+		p.env.obs.ProcBlock(p.name, q.label(), p.env.now)
 	}
 	p.park()
 }
@@ -585,7 +684,7 @@ func (q *WaitQueue) Wake(n int) int {
 	for i := 0; i < n; i++ {
 		p := q.ps[i]
 		p.waiting = false
-		p.waitQ = ""
+		p.waitQ = nil
 		p.env.waiting--
 		p.env.schedule(p, p.env.now)
 		if p.env.obs != nil {
@@ -642,5 +741,14 @@ func (m *Mutex) Held() bool { return m.held }
 // their queue labels (diagnostics).
 func (e *Env) WaitingProcs() []string { return e.waiterNames() }
 
-// SetName labels the queue for deadlock and diagnostic reports.
-func (q *WaitQueue) SetName(name string) { q.name = name }
+// SetName labels the queue for deadlock and diagnostic reports,
+// replacing any Labeler.
+func (q *WaitQueue) SetName(name string) { q.name, q.lab = name, nil }
+
+// SetLabeler makes l render the queue's label from now on (see
+// Labeler). A nil l falls back to the name.
+func (q *WaitQueue) SetLabeler(l Labeler) { q.lab = l }
+
+// SetLabeler makes l render the mutex's wait-queue label — the whole
+// label, with no "mutex " prefix added.
+func (m *Mutex) SetLabeler(l Labeler) { m.q.lab = l }

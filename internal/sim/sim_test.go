@@ -414,3 +414,34 @@ func TestWaitingProcsSnapshot(t *testing.T) {
 		t.Fatalf("WaitingProcs after run = %d", got)
 	}
 }
+
+// TestCallAtPanicBecomesRunError pins that a panicking deferred call
+// ends the run with an error naming its instant, rather than escaping
+// Run as a raw panic or being blamed on a process.
+func TestCallAtPanicBecomesRunError(t *testing.T) {
+	e := NewEnv(1)
+	e.Spawn("bystander", func(p *Proc) {
+		p.Sleep(Microsecond)
+		p.Sleep(Microsecond)
+	})
+	e.CallAt(Time(1500), func() { panic("deferred boom") })
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("deferred-call panic escaped Run: %v", r)
+			}
+		}()
+		err = e.Run()
+	}()
+	if err == nil {
+		t.Fatal("Run returned nil after a deferred call panicked")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sim: deferred call at 1500 panicked: deferred boom") {
+		t.Fatalf("error %q does not report the deferred call", msg)
+	}
+	if strings.Contains(msg, "bystander") {
+		t.Fatalf("error %q blames the process that ran the loop", msg)
+	}
+}

@@ -232,3 +232,24 @@ func BenchmarkMailbox(bm *testing.B) {
 	}
 	_ = sink
 }
+
+// TestWorldCallAtPanicBecomesRunError is the partitioned half: a
+// deferred call that panics in a partition run by a helper goroutine
+// must surface as the world's error, not kill the program.
+func TestWorldCallAtPanicBecomesRunError(t *testing.T) {
+	w := NewWorld(1, 2, Microsecond)
+	w.SetWorkers(2)
+	for i := 0; i < 2; i++ {
+		e := w.Env(i)
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for r := 0; r < 10; r++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
+	w.Env(1).CallAt(Time(3500), func() { panic("deferred boom") })
+	err := w.Run()
+	if err == nil || !strings.HasPrefix(err.Error(), "sim: deferred call at 3500 panicked: deferred boom") {
+		t.Fatalf("want the deferred call's panic as the run error, got %v", err)
+	}
+}
