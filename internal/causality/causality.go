@@ -588,9 +588,8 @@ func (r *Recorder) snapshotLocal() *Snapshot {
 // txnInfos copies one recorder's own transaction nodes, oldest first.
 func (r *Recorder) txnInfos() []TxnInfo {
 	out := make([]TxnInfo, 0, r.txns.Len())
-	older, newer := r.txns.Slices()
-	for _, half := range [2][]*Txn{older, newer} {
-		for _, t := range half {
+	r.txns.Each(func(run []*Txn) {
+		for _, t := range run {
 			ti := TxnInfo{ID: t.ID, Label: t.Label, Coord: t.Coord, Attempt: t.Attempt,
 				Start: t.Start, End: t.End, State: t.State, Reason: t.Reason, Aborts: t.Aborts}
 			if t.CauseSeq != 0 {
@@ -599,7 +598,7 @@ func (r *Recorder) txnInfos() []TxnInfo {
 			}
 			out = append(out, ti)
 		}
-	}
+	})
 	return out
 }
 

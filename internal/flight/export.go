@@ -33,9 +33,10 @@ func WriteJSON(w io.Writer, s *Snapshot) error {
 	if doc.Txns == nil {
 		doc.Txns = []TxnBudget{}
 	}
-	if doc.Exemplars == nil {
-		doc.Exemplars = []Exemplar{}
-	}
+	// Fill in nil details on a copy: the snapshot is shared and must
+	// not change under its readers.
+	doc.Exemplars = make([]Exemplar, len(s.Exemplars))
+	copy(doc.Exemplars, s.Exemplars)
 	for i := range doc.Exemplars {
 		if doc.Exemplars[i].Detail == nil {
 			doc.Exemplars[i].Detail = []AttemptInfo{}

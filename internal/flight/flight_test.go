@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"crest/internal/sim"
@@ -371,6 +372,23 @@ func TestJSONRoundTripByteEqual(t *testing.T) {
 
 	if _, err := ReadJSON(bytes.NewReader([]byte(`{"schema":"bogus/v9"}`))); err == nil {
 		t.Fatal("bogus schema accepted")
+	}
+}
+
+// TestWriteJSONLeavesSnapshotUnchanged: exporting fills in nil
+// exemplar details on its own copy, never in the caller's snapshot.
+func TestWriteJSONLeavesSnapshotUnchanged(t *testing.T) {
+	s := &Snapshot{Exemplars: []Exemplar{{TxnBudget: TxnBudget{ID: 1}}}}
+	before := &Snapshot{Exemplars: []Exemplar{{TxnBudget: TxnBudget{ID: 1}}}}
+	var b bytes.Buffer
+	if err := WriteJSON(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, before) {
+		t.Fatalf("WriteJSON changed its input: %+v", s.Exemplars)
+	}
+	if !bytes.Contains(b.Bytes(), []byte(`"detail": []`)) {
+		t.Fatalf("nil detail not exported as []:\n%s", b.Bytes())
 	}
 }
 

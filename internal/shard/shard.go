@@ -73,33 +73,57 @@ func Sum[T any](self *T, f *Family[T], count func(*T) uint64) uint64 {
 }
 
 // Ring is a bounded record buffer: once it holds its capacity, every
-// push evicts the oldest record.
+// push evicts the oldest record. Records live in fixed-size blocks,
+// allocated as the ring fills and never copied or re-cleared, so growth
+// costs one allocation per ringBlock records and never over-allocates
+// past the capacity.
 type Ring[E any] struct {
-	buf     []E
+	blocks  [][]E
+	n       int // buffered records
 	cap     int
 	head    int // index of the oldest record once full
 	dropped uint64
 }
 
+// ringBlock is the number of records per block; a power of two, so the
+// block index and offset are a shift and a mask.
+const ringBlock = 4096
+
 // NewRing returns an empty ring holding at most capacity records, with
 // room reserved for the first reserve of them.
 func NewRing[E any](capacity, reserve int) Ring[E] {
-	return Ring[E]{buf: make([]E, 0, reserve), cap: capacity}
+	r := Ring[E]{cap: capacity}
+	for off := 0; off < min(reserve, capacity); off += ringBlock {
+		r.grow()
+	}
+	return r
+}
+
+// grow allocates the next block, cut short at the capacity.
+func (r *Ring[E]) grow() {
+	off := len(r.blocks) * ringBlock
+	r.blocks = append(r.blocks, make([]E, min(ringBlock, r.cap-off)))
 }
 
 // Push appends e, evicting the oldest record when the ring is full.
 func (r *Ring[E]) Push(e E) {
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, e)
+	if r.n < r.cap {
+		if r.n == len(r.blocks)*ringBlock {
+			r.grow()
+		}
+		r.blocks[r.n/ringBlock][r.n%ringBlock] = e
+		r.n++
 		return
 	}
-	r.buf[r.head] = e
-	r.head = (r.head + 1) % r.cap
+	r.blocks[r.head/ringBlock][r.head%ringBlock] = e
+	if r.head++; r.head == r.cap {
+		r.head = 0
+	}
 	r.dropped++
 }
 
 // Len reports the number of buffered records.
-func (r *Ring[E]) Len() int { return len(r.buf) }
+func (r *Ring[E]) Len() int { return r.n }
 
 // Cap reports the ring's capacity.
 func (r *Ring[E]) Cap() int { return r.cap }
@@ -107,14 +131,29 @@ func (r *Ring[E]) Cap() int { return r.cap }
 // Dropped reports how many records were evicted.
 func (r *Ring[E]) Dropped() uint64 { return r.dropped }
 
-// Slices returns the buffered records oldest first, split where the
-// ring wraps: every record of older precedes every record of newer.
-func (r *Ring[E]) Slices() (older, newer []E) { return r.buf[r.head:], r.buf[:r.head] }
+// Each calls f on the buffered records in contiguous runs, oldest
+// first: every record of one run precedes every record of the next.
+// The runs alias the ring and are valid until the next Push.
+func (r *Ring[E]) Each(f func(run []E)) {
+	r.each(r.head, r.n, f)
+	r.each(0, r.head, f)
+}
+
+// each calls f on the records at indexes [from, to), block by block.
+func (r *Ring[E]) each(from, to int, f func([]E)) {
+	for from < to {
+		b := r.blocks[from/ringBlock]
+		off := from % ringBlock
+		end := min(len(b), off+to-from)
+		f(b[off:end])
+		from += end - off
+	}
+}
 
 // AppendTo appends the buffered records, oldest first, to dst.
 func (r *Ring[E]) AppendTo(dst []E) []E {
-	older, newer := r.Slices()
-	return append(append(dst, older...), newer...)
+	r.Each(func(run []E) { dst = append(dst, run...) })
+	return dst
 }
 
 // Merge collects the records of a sharded family and orders them by
@@ -154,9 +193,7 @@ func (m *Merge[E]) Add(part int, es ...E) {
 
 // AddRing appends the records of partition part's ring, oldest first.
 func (m *Merge[E]) AddRing(part int, r *Ring[E]) {
-	older, newer := r.Slices()
-	m.Add(part, older...)
-	m.Add(part, newer...)
+	r.Each(func(run []E) { m.Add(part, run...) })
 }
 
 // Sorted returns the records in merge order. Only the keys move while
