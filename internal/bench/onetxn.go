@@ -7,12 +7,14 @@ import (
 	"crest/internal/memnode"
 	"crest/internal/rdma"
 	"crest/internal/sim"
+	"crest/internal/workload"
 )
 
-// oneTxnVerbs loads the configured workload, executes exactly one
-// transaction on one coordinator with no contention, and returns the
-// verbs that attempt issued — the measurement behind Table 2.
-func oneTxnVerbs(cfg Config) (rdma.Stats, error) {
+// oneTxnRig loads the configured workload and returns a fresh
+// environment with one coordinator on a warmed compute node, alone in
+// the system so nothing contends with it, and the generator that feeds
+// it.
+func oneTxnRig(cfg Config) (*sim.Env, engine.Coordinator, workload.Generator, error) {
 	cfg = cfg.WithDefaults()
 	gen := cfg.Workload()
 	env := sim.NewEnv(cfg.Seed)
@@ -22,18 +24,28 @@ func oneTxnVerbs(cfg Config) (rdma.Stats, error) {
 	db.Attach(env, cfg.observers())
 	sys, err := NewSystem(cfg.System, db)
 	if err != nil {
-		return rdma.Stats{}, err
+		return nil, nil, nil, err
 	}
 	for _, def := range gen.Tables() {
 		sys.CreateTable(def.Schema, def.Capacity)
 	}
 	gen.Load(sys.Load)
 	if err := sys.FinishLoad(); err != nil {
-		return rdma.Stats{}, err
+		return nil, nil, nil, err
 	}
 	node := sys.NewComputeNode(0)
 	node.WarmCache()
-	coord := node.NewCoordinator(0)
+	return env, node.NewCoordinator(0), gen, nil
+}
+
+// oneTxnVerbs executes exactly one transaction on oneTxnRig's
+// coordinator and returns the verbs that attempt issued — the
+// measurement behind Table 2.
+func oneTxnVerbs(cfg Config) (rdma.Stats, error) {
+	env, coord, gen, err := oneTxnRig(cfg)
+	if err != nil {
+		return rdma.Stats{}, err
+	}
 	var verbs rdma.Stats
 	var attemptErr error
 	env.Spawn("one-txn", func(p *sim.Proc) {

@@ -18,21 +18,21 @@
 // waking the issuing process twice. Dispatched events are counted so
 // harnesses can report events/sec.
 //
-// There is no scheduler goroutine. Control is a baton: whichever
-// goroutine holds it runs the dispatch loop (advance) itself. A
-// process that parks or finishes pops the next event, runs due
-// deferred calls inline, and hands the baton straight to the next
-// process with one channel send — or keeps running when that process
-// is itself — so a process switch costs one goroutine handoff, not a
-// round trip through a central loop. The baton returns to the
-// RunUntil (or World window) caller only when nothing is left to run
-// within the bound. Wait-queue labels are lazy for the same reason: a
-// queue may carry a Labeler that is formatted only when an observer or
-// a deadlock report reads it.
+// There is no scheduler goroutine. Each process is a coroutine
+// (iter.Pull), and the goroutine that called RunUntil (or runs a World
+// window) is the one dispatcher that resumes them. A process that
+// parks runs the dispatch loop (advance) on its own stack: it pops the
+// next event, runs due deferred calls inline, and either keeps running
+// (it is next) or hands the next process to the dispatcher and
+// yields. A process switch is one coroutine switch, which unlike a
+// channel send wakes no scheduler thread. Wait-queue labels are lazy
+// for the same reason: a queue may carry a Labeler that is formatted
+// only when an observer or a deadlock report reads it.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -165,10 +165,8 @@ type Env struct {
 	seq    uint64
 	// bound is the inclusive time limit of the run in progress
 	// (RunUntil's deadline or the World window's end); advance
-	// dispatches nothing beyond it. ack returns the baton to the
-	// goroutine that started the run.
+	// dispatches nothing beyond it.
 	bound      Time
-	ack        chan struct{}
 	rng        *rand.Rand
 	live       int // processes spawned and not yet finished
 	waiting    int // processes parked with no pending wake event
@@ -183,11 +181,13 @@ type Env struct {
 	procs []*Proc
 	free  []*Proc
 
-	// current is the process holding the baton, nil while the
+	// current is the process whose coroutine is running, nil while the
 	// dispatch loop runs between processes; inCall is true while a
 	// deferred CallAt function runs. Together they enforce Stop's
-	// contract.
+	// contract. next is the process a parking or finishing coroutine
+	// hands back to the dispatcher (nil ends the run).
 	current *Proc
+	next    *Proc
 	inCall  bool
 
 	// dispatchHook, when non-nil, observes every dispatched event
@@ -210,7 +210,6 @@ func (e *Env) SetObserver(obs Observer) { e.obs = obs }
 // with seed.
 func NewEnv(seed int64) *Env {
 	e := &Env{
-		ack:    make(chan struct{}),
 		rng:    rand.New(rand.NewSource(seed)),
 		events: make(eventHeap, 0, 64),
 	}
@@ -240,17 +239,20 @@ func (e *Env) Waiting() int { return e.waiting }
 // events/sec measurement.
 func (e *Env) Dispatched() uint64 { return e.dispatched }
 
-// Proc is a simulated process. Its function runs on a dedicated
-// goroutine but only while the process holds the baton; everything it
-// does between two blocking calls is atomic in virtual time.
+// Proc is a simulated process. Its function runs as a coroutine that
+// only the dispatcher resumes; everything it does between two blocking
+// calls is atomic in virtual time.
 //
-// Finished Proc shells (struct and resume channel) are pooled and
-// reused by later Spawns; gen disambiguates incarnations so a stale
-// queued event can never wake a reused shell.
+// Finished Proc shells are pooled and reused by later Spawns, each
+// incarnation with a fresh coroutine; gen disambiguates incarnations
+// so a stale queued event can never wake a reused shell.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
+	env  *Env
+	name string
+	// resume runs the coroutine until it parks or finishes; yield,
+	// called on the coroutine, switches back to the dispatcher.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 	done   bool
 	fn     func(*Proc)
 	gen    uint32
@@ -311,9 +313,9 @@ func (p *Proc) Now() Time { return p.env.now }
 // environment.
 func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 
-// newProc returns a ready Proc shell: pooled if one is free, freshly
-// allocated otherwise. The caller schedules it and starts its
-// goroutine.
+// newProc returns a Proc shell: pooled if one is free, freshly
+// allocated otherwise. The caller schedules it and creates its
+// coroutine.
 func (e *Env) newProc(name string, fn func(*Proc)) *Proc {
 	if n := len(e.free); n > 0 {
 		p := e.free[n-1]
@@ -329,7 +331,7 @@ func (e *Env) newProc(name string, fn func(*Proc)) *Proc {
 		p.gen++
 		return p
 	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), fn: fn}
+	p := &Proc{env: e, name: name, fn: fn}
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -337,16 +339,7 @@ func (e *Env) newProc(name string, fn func(*Proc)) *Proc {
 // Spawn creates a process and schedules it to start at the current
 // virtual time. It may be called before Run or from inside a running
 // process.
-func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
-	p := e.newProc(name, fn)
-	e.live++
-	e.schedule(p, e.now)
-	if e.obs != nil {
-		e.obs.ProcSpawn(name, e.now)
-	}
-	go p.run()
-	return p
-}
+func (e *Env) Spawn(name string, fn func(*Proc)) *Proc { return e.SpawnAt(name, e.now, fn) }
 
 // SpawnAt is Spawn with an explicit start time, which must not be in
 // the past.
@@ -355,12 +348,12 @@ func (e *Env) SpawnAt(name string, at Time, fn func(*Proc)) *Proc {
 		panic(fmt.Sprintf("sim: SpawnAt(%v) in the past (now %v)", at, e.now))
 	}
 	p := e.newProc(name, fn)
+	p.resume, _ = iter.Pull(p.run)
 	e.live++
 	e.schedule(p, at)
 	if e.obs != nil {
 		e.obs.ProcSpawn(name, at)
 	}
-	go p.run()
 	return p
 }
 
@@ -371,14 +364,14 @@ func (e *Env) schedule(p *Proc, at Time) {
 
 // CallAt schedules fn to run at virtual time at, which must not be in
 // the past. The call executes inside the dispatch loop, between
-// process dispatches, atomically at its instant — on whichever
-// goroutine holds the baton, which is no process's business: fn must
-// not touch the Proc whose goroutine happens to run it. fn may inspect
-// the environment, mutate model state and Resume suspended processes,
-// but it must not block, park, or run for unbounded time. A panic in
-// fn ends the run with an error, like a panic in a process. Ties with
-// process wakeups at the same instant are broken by schedule order
-// (seq), exactly as between two wakeups.
+// process dispatches, atomically at its instant — on the dispatcher or
+// on whichever process's coroutine runs the loop, which is no
+// process's business: fn must not touch the Proc that happens to run
+// it. fn may inspect the environment, mutate model state and Resume
+// suspended processes, but it must not block, park, or run for
+// unbounded time. A panic in fn ends the run with an error, like a
+// panic in a process. Ties with process wakeups at the same instant
+// are broken by schedule order (seq), exactly as between two wakeups.
 //
 // CallAt exists for I/O models: the RDMA fabric applies a verb batch
 // at the round-trip midpoint via CallAt while the issuing process
@@ -424,33 +417,46 @@ func (e *Env) Resume(p *Proc, at Time) {
 // Nothing ever waits on it, so partitions may share it.
 var suspended = WaitQueue{name: "suspended"}
 
-func (p *Proc) run() {
-	<-p.resume // wait for first dispatch
+// run is p's coroutine body: it runs the process function, then
+// retires the process and runs the dispatch loop for the next one.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	returned := false
 	defer func() {
 		e := p.env
-		if r := recover(); r != nil {
+		r := recover()
+		goexit := r == nil && !returned
+		if r != nil {
 			buf := make([]byte, 16<<10)
 			n := runtime.Stack(buf, false)
 			e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, buf[:n])
+		} else if goexit {
+			e.failure = fmt.Errorf("sim: process %q exited via runtime.Goexit", p.name)
 		}
 		p.done = true
 		e.live--
 		if e.obs != nil {
 			e.obs.ProcFinish(p.name, e.now)
 		}
-		// Return the shell to the pool before passing the baton on:
-		// a deferred call the loop runs below may Spawn into it, so
-		// this goroutine touches p no further.
+		// Return the shell to the pool before running the loop: a
+		// deferred call advance runs may Spawn into it, so this
+		// coroutine touches p no further.
 		e.free = append(e.free, p)
 		e.current = nil
-		e.handoff(e.advance())
+		e.next = e.advance()
+		if goexit {
+			// Returning would make iter.Pull re-raise the Goexit on
+			// the dispatcher; nothing resumes this coroutine again.
+			yield(struct{}{})
+		}
 	}()
 	p.fn(p)
+	returned = true
 }
 
-// park runs the dispatch loop on the calling process's goroutine and
-// passes the baton to the next process to run. If that is p itself it
-// simply returns; otherwise it blocks until p is dispatched again.
+// park runs the dispatch loop on p's coroutine. If p itself is next it
+// returns at once; otherwise it hands the next process to the
+// dispatcher and yields until p is dispatched again.
 func (p *Proc) park() {
 	e := p.env
 	e.current = nil
@@ -459,8 +465,8 @@ func (p *Proc) park() {
 		e.current = p
 		return
 	}
-	e.handoff(next)
-	<-p.resume
+	e.next = next
+	p.yield(struct{}{})
 }
 
 // advance is the dispatch loop. It pops events due at or before
@@ -468,7 +474,8 @@ func (p *Proc) park() {
 // deferred calls inline, and returns the next process to run. It
 // returns nil when the run must go back to its caller: nothing is due,
 // Stop was called, or a process or deferred call failed. It runs on
-// whichever goroutine holds the baton.
+// the dispatcher or on the coroutine of the process that parks or
+// finishes.
 func (e *Env) advance() *Proc {
 	for len(e.events) > 0 && !e.stopped && e.failure == nil {
 		if e.events[0].at > e.bound {
@@ -509,26 +516,17 @@ func (e *Env) call(at Time, fn func()) {
 	fn()
 }
 
-// handoff passes the baton to next, or back to the run's caller when
-// next is nil.
-func (e *Env) handoff(next *Proc) {
-	e.current = next
-	if next == nil {
-		e.ack <- struct{}{}
-		return
-	}
-	next.resume <- struct{}{}
-}
-
 // runTo dispatches events due at or before bound. The calling
-// goroutine runs the loop until the first process is due, hands it
-// the baton, and waits until some process's advance finds nothing left
-// to run within bound (or Stop or a failure ends the run).
+// goroutine is the dispatcher: it resumes each next process until one
+// parks or finishes with nothing left to run within bound (or Stop or
+// a failure ends the run).
 func (e *Env) runTo(bound Time) {
 	e.bound = bound
-	if p := e.advance(); p != nil {
-		e.handoff(p)
-		<-e.ack
+	next := e.advance()
+	for next != nil {
+		e.current, e.next = next, nil
+		next.resume()
+		next = e.next
 	}
 }
 
@@ -610,12 +608,12 @@ func (e *Env) waiterNames() []string {
 }
 
 // Stop makes Run return after the current event completes. Parked
-// processes are abandoned (their goroutines stay blocked until the
-// process exits, which is fine for one-shot simulations).
+// processes are abandoned: their coroutines stay suspended until a
+// later Run dispatches them, which is fine for one-shot simulations.
 //
 // Stop must be called from inside a running process (or a CallAt
-// function), i.e. by the goroutine holding the baton; calling it from
-// anywhere else would race the dispatch loop, so it panics instead.
+// function); calling it from anywhere else would race the dispatch
+// loop, so it panics instead.
 func (e *Env) Stop() {
 	if e.current == nil && !e.inCall {
 		panic("sim: Stop called from outside a running process; " +

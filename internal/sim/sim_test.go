@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -443,5 +444,65 @@ func TestCallAtPanicBecomesRunError(t *testing.T) {
 	}
 	if strings.Contains(msg, "bystander") {
 		t.Fatalf("error %q blames the process that ran the loop", msg)
+	}
+}
+
+// TestProcGoexitBecomesRunError pins that a process ending through
+// runtime.Goexit (t.FailNow inside a process, say) ends the run with an
+// error naming it, instead of passing for a normal finish, and that the
+// Goexit does not unwind the goroutine that called Run.
+func TestProcGoexitBecomesRunError(t *testing.T) {
+	e := NewEnv(1)
+	e.Spawn("quitter", func(p *Proc) {
+		p.Sleep(Microsecond)
+		runtime.Goexit()
+	})
+	e.Spawn("bystander", func(p *Proc) {
+		for r := 0; r < 10; r++ {
+			p.Sleep(Microsecond)
+		}
+	})
+	err := e.Run()
+	if err == nil || err.Error() != `sim: process "quitter" exited via runtime.Goexit` {
+		t.Fatalf("want the Goexit as the run error, got %v", err)
+	}
+	if e.Now() != Time(Microsecond) {
+		t.Fatalf("run went on to %v after the Goexit at %v", e.Now(), Time(Microsecond))
+	}
+}
+
+// TestProcResumedFromAnotherGoroutine runs one program with its first
+// RunUntil on one goroutine, its second on another and the drain on the
+// test goroutine, with processes parked across each boundary: a
+// process's coroutine may be resumed by any goroutine, as World workers
+// do across windows, and the dispatch sequence must not notice.
+func TestProcResumedFromAnotherGoroutine(t *testing.T) {
+	digest := func(split bool) string {
+		log := newSchedLog()
+		e := NewEnv(11)
+		e.dispatchHook = log.dispatch
+		mixedProgram(e, "")
+		if split {
+			for _, until := range []Time{3 * Time(Microsecond), 9 * Time(Microsecond)} {
+				errc := make(chan error)
+				go func() { errc <- e.RunUntil(until) }()
+				if err := <-errc; err != nil {
+					t.Fatal(err)
+				}
+				if e.Live() == 0 {
+					t.Fatalf("nothing live at %v; want processes parked across the boundary", until)
+				}
+			}
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if e.Live() != 0 {
+			t.Fatalf("%d processes still live after drain", e.Live())
+		}
+		return log.sum()
+	}
+	if got, want := digest(true), digest(false); got != want {
+		t.Fatalf("dispatch digest %s across goroutines, %s on one", got, want)
 	}
 }

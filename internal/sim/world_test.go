@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ringWorld builds a world of parts partitions where each partition
@@ -251,5 +253,35 @@ func TestWorldCallAtPanicBecomesRunError(t *testing.T) {
 	err := w.Run()
 	if err == nil || !strings.HasPrefix(err.Error(), "sim: deferred call at 3500 panicked: deferred boom") {
 		t.Fatalf("want the deferred call's panic as the run error, got %v", err)
+	}
+}
+
+// TestWorldProcGoexitBecomesRunError is the partitioned half: a
+// process's Goexit in a partition run by a helper goroutine must
+// surface as the world's error, not unwind the helper and hang the
+// window barrier.
+func TestWorldProcGoexitBecomesRunError(t *testing.T) {
+	w := NewWorld(1, 2, Microsecond)
+	w.SetWorkers(2)
+	for i := 0; i < 2; i++ {
+		w.Env(i).Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for r := 0; r < 10; r++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
+	w.Env(1).Spawn("quitter", func(p *Proc) {
+		p.Sleep(3 * Microsecond)
+		runtime.Goexit()
+	})
+	errc := make(chan error, 1)
+	go func() { errc <- w.Run() }()
+	select {
+	case err := <-errc:
+		if err == nil || err.Error() != `sim: process "quitter" exited via runtime.Goexit` {
+			t.Fatalf("want the Goexit as the run error, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("World.Run did not return after a process called runtime.Goexit")
 	}
 }
